@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qcoherence as qc
@@ -333,3 +335,118 @@ def test_cross_formalism_thermal_consistency():
     assert abs(fock_value - INV_SQRT3) < 1e-6
     assert abs(cv_value - INV_SQRT3) < 1e-3
     assert abs(wig_value - INV_SQRT3) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# reference oracles for the lattice transforms: the per-row Wigner quadrature
+# and the dense centred-DFT products, kept as the plain forms of what the
+# library computes
+
+
+def _wigner_rows_oracle(state, x_steps, p_steps, x_span=None, p_span=None):
+    grid = state.grid
+    hbar = grid.hbar
+    n = grid.size
+    x_max = grid.d * grid.dx
+    x_span = x_max if x_span is None else x_span
+    p_span = grid.p_max if p_span is None else p_span
+    kernel = state.matrix / grid.dx
+    xs = np.linspace(-x_span, x_span, x_steps)
+    ps = np.linspace(-p_span, p_span, p_steps)
+    dy = grid.dx / 2.0
+    values = np.zeros((x_steps, p_steps))
+    for a, xv in enumerate(xs):
+        y_reach = x_max - abs(xv)
+        if y_reach < 0.0:
+            continue
+        k_max = int(np.floor(y_reach / dy + 1e-12))
+        y = np.arange(-k_max, k_max + 1) * dy
+        frac_fwd = (xv + y + x_max) / grid.dx
+        frac_bwd = (xv - y + x_max) / grid.dx
+        i_fwd = np.clip(np.floor(frac_fwd).astype(int), 0, n - 2)
+        i_bwd = np.clip(np.floor(frac_bwd).astype(int), 0, n - 2)
+        w_fwd = np.clip(frac_fwd - i_fwd, 0.0, 1.0)
+        w_bwd = np.clip(frac_bwd - i_bwd, 0.0, 1.0)
+        g = (
+            kernel[i_fwd, i_bwd] * (1.0 - w_fwd) * (1.0 - w_bwd)
+            + kernel[i_fwd + 1, i_bwd] * w_fwd * (1.0 - w_bwd)
+            + kernel[i_fwd, i_bwd + 1] * (1.0 - w_fwd) * w_bwd
+            + kernel[i_fwd + 1, i_bwd + 1] * w_fwd * w_bwd
+        )
+        oscillations = np.exp(-2j * np.outer(ps, y) / hbar)
+        values[a, :] = (oscillations @ g).real * dy / (np.pi * hbar)
+    return xs, ps, values
+
+
+def _dense_conversion_oracle(state):
+    f = state.grid.position_to_momentum_matrix()
+    if state.representation == "position":
+        return f @ state.matrix @ f.conj().T
+    return f.conj().T @ state.matrix @ f
+
+
+def _random_lattice_matrix(d, seed, rank=3):
+    # a PSD unit-trace lattice matrix of low rank, valid on any grid
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(2 * d + 1, rank)) + 1j * rng.normal(size=(2 * d + 1, rank))
+    mat = g @ g.conj().T
+    return (mat + mat.conj().T) / (2.0 * np.trace(mat).real)
+
+
+ORACLE_DS = (1, 2, 17, 64, 256)
+ORACLE_HBARS = (0.5, 1.0, 3.7)
+
+
+class TestLatticeOracles:
+    @pytest.mark.parametrize("d", ORACLE_DS)
+    @pytest.mark.parametrize("hbar", ORACLE_HBARS)
+    @pytest.mark.parametrize("windowed", (False, True))
+    @pytest.mark.parametrize("steps", ((33, 32), (32, 33)))
+    def test_wigner_matches_row_oracle(self, d, hbar, windowed, steps):
+        grid = qc.build_cv_grid(d, 0.9 * np.sqrt(d) + 0.3, hbar)
+        state = qc.CvState(grid, "position", _random_lattice_matrix(d, 100 + d))
+        spans = {}
+        if windowed:
+            spans = {"x_span": 0.37 * grid.d * grid.dx, "p_span": 0.61 * grid.p_max}
+        w = qc.wigner_from_cv(state, *steps, **spans)
+        xs, ps, values = _wigner_rows_oracle(state, *steps, **spans)
+        assert np.array_equal(w.x, xs) and np.array_equal(w.p, ps)
+        assert np.max(np.abs(w.values - values)) <= 1e-12
+
+    def test_wigner_matches_row_oracle_on_physical_states(self):
+        grid = qc.build_cv_grid(256, 40.0)
+        for state, span in ((qc.thermal_cv(grid, 1.0), 12.0),
+                            (qc.gaussian_cv(grid, 0.8, x0=0.7, p0=-1.1), 10.0)):
+            w = qc.wigner_from_cv(state, 61, 60, x_span=span, p_span=span)
+            _, _, values = _wigner_rows_oracle(state, 61, 60, x_span=span, p_span=span)
+            assert np.max(np.abs(w.values - values)) <= 1e-12
+
+    @pytest.mark.parametrize("d", ORACLE_DS)
+    @pytest.mark.parametrize("hbar", ORACLE_HBARS)
+    @pytest.mark.parametrize("representation", ("position", "momentum"))
+    def test_conversion_matches_dense_oracle(self, d, hbar, representation):
+        grid = qc.build_cv_grid(d, 1.3 * np.sqrt(d), hbar)
+        state = qc.CvState(grid, representation, _random_lattice_matrix(d, 200 + d))
+        converted = qc.convert_representation(state)
+        assert converted.representation != representation
+        assert np.max(np.abs(converted.matrix - _dense_conversion_oracle(state))) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 40),
+    p_max=st.floats(0.1, 50.0),
+    hbar=st.floats(0.05, 20.0),
+    rank=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conversion_properties_on_random_lattice_states(d, p_max, hbar, rank, seed):
+    grid = qc.build_cv_grid(d, p_max, hbar)
+    state = qc.CvState(grid, "position", _random_lattice_matrix(d, seed, rank))
+    momentum = qc.convert_representation(state)
+    back = qc.convert_representation(momentum)
+    assert back.representation == "position"
+    assert np.max(np.abs(back.matrix - state.matrix)) <= 1e-12
+    assert abs(qc.p_inf_cv(momentum) - qc.p_inf_cv(state)) <= 1e-10
+    assert np.max(np.abs(momentum.matrix - _dense_conversion_oracle(state))) <= 1e-12
+    assert np.max(np.abs(back.matrix - _dense_conversion_oracle(momentum))) <= 1e-12
