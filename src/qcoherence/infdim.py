@@ -333,12 +333,30 @@ def p_inf_cv(state: CvState) -> float:
     return math.sqrt(float(np.sum(np.abs(state.matrix) ** 2)))
 
 
+def _conjugate_matrix(matrix: np.ndarray, to_momentum: bool) -> np.ndarray:
+    """F M F^H (to_momentum) or F^H M F, with F the centred lattice DFT of
+    :meth:`CvGrid.position_to_momentum_matrix`, by FFT along each axis.
+
+    The shifts map the centred index range [-D, D] onto numpy's [0, 2D]
+    layout; the kernel exp(-2 pi i j m / (2D+1)) is periodic in both
+    indices, so the result equals the dense product up to rounding.
+    """
+    forward, backward = (np.fft.fft, np.fft.ifft) if to_momentum else (np.fft.ifft, np.fft.fft)
+    shifted = np.fft.ifftshift(matrix)
+    return np.fft.fftshift(
+        backward(forward(shifted, axis=0, norm="ortho"), axis=1, norm="ortho")
+    )
+
+
 def convert_representation(state: CvState) -> CvState:
-    """Fourier-conjugate the state to the other lattice representation."""
-    f = state.grid.position_to_momentum_matrix()
+    """Fourier-conjugate the state to the other lattice representation.
+
+    Two FFT passes, O(n^2 log n) for the n x n lattice matrix, in place of
+    the dense O(n^3) products with the DFT matrix.
+    """
     if state.representation == "position":
-        return CvState(state.grid, "momentum", f @ state.matrix @ f.conj().T)
-    return CvState(state.grid, "position", f.conj().T @ state.matrix @ f)
+        return CvState(state.grid, "momentum", _conjugate_matrix(state.matrix, True))
+    return CvState(state.grid, "position", _conjugate_matrix(state.matrix, False))
 
 
 def commutator_check(grid: CvGrid, probe: CvState) -> tuple[complex, float]:
@@ -356,8 +374,7 @@ def commutator_check(grid: CvGrid, probe: CvState) -> tuple[complex, float]:
     position_state = probe if probe.representation == "position" else convert_representation(probe)
     x = grid.positions()
     p = grid.momenta()
-    fourier = grid.position_to_momentum_matrix()
-    momentum_op = fourier.conj().T @ (p[:, None] * fourier)
+    momentum_op = _conjugate_matrix(np.diag(p).astype(complex), to_momentum=False)
     commutator = x[:, None] * momentum_op - momentum_op * x[None, :]
     trace_mag = abs(complex(commutator.trace()))
     if trace_mag > _COMMUTATOR_TOL:
@@ -399,6 +416,11 @@ def wigner_from_cv(
     lattice range in x and [-p_max, p_max] in p; rows near |p| = p_max
     pick up interpolation ripple at the 1e-4 level, so callers chasing
     accuracy should window the output to the state's support.
+
+    All rows are evaluated at once, without a loop over x: one bilinear
+    gather of the kernel on an (x_steps, 4D+1) grid of y offsets, masked to
+    the lattice, times one shared exp(-2i y p / hbar) matrix.  Transient
+    memory is O(x_steps * (4D+1)).
     """
     if state.representation != "position":
         raise GridMismatchError("phase-space sampling needs the position representation")
@@ -416,31 +438,32 @@ def wigner_from_cv(
         raise InvalidParameterError(
             f"spans must lie in (0, {x_max:.6g}] x (0, {grid.p_max:.6g}]"
         )
-    kernel = state.matrix / grid.dx
     xs = np.linspace(-x_span, x_span, x_steps)
     ps = np.linspace(-p_span, p_span, p_steps)
     dy = grid.dx / 2.0
-    values = np.zeros((x_steps, p_steps))
-    for a, xv in enumerate(xs):
-        y_reach = x_max - abs(xv)
-        if y_reach < 0.0:
-            continue
-        k_max = int(math.floor(y_reach / dy + 1e-12))
-        y = np.arange(-k_max, k_max + 1) * dy
-        frac_fwd = (xv + y + x_max) / grid.dx
-        frac_bwd = (xv - y + x_max) / grid.dx
-        i_fwd = np.clip(np.floor(frac_fwd).astype(int), 0, n - 2)
-        i_bwd = np.clip(np.floor(frac_bwd).astype(int), 0, n - 2)
-        w_fwd = np.clip(frac_fwd - i_fwd, 0.0, 1.0)
-        w_bwd = np.clip(frac_bwd - i_bwd, 0.0, 1.0)
-        g = (
-            kernel[i_fwd, i_bwd] * (1.0 - w_fwd) * (1.0 - w_bwd)
-            + kernel[i_fwd + 1, i_bwd] * w_fwd * (1.0 - w_bwd)
-            + kernel[i_fwd, i_bwd + 1] * (1.0 - w_fwd) * w_bwd
-            + kernel[i_fwd + 1, i_bwd + 1] * w_fwd * w_bwd
-        )
-        oscillations = np.exp(-2j * np.outer(ps, y) / hbar)
-        values[a, :] = (oscillations @ g).real * dy / (np.pi * hbar)
+    # one y axis shared by all rows, k in [-2D, 2D]; row a keeps the
+    # |k| <= k_max(x_a) that stays on the lattice (the span check above
+    # bounds |x_a| by x_max, so every row reaches k = 0)
+    k = np.arange(-2 * grid.d, 2 * grid.d + 1)
+    y = k * dy
+    k_max = np.floor((x_max - np.abs(xs)) / dy + 1e-12)
+    inside = np.abs(k)[None, :] <= k_max[:, None]
+    frac_fwd = (xs[:, None] + y[None, :] + x_max) / grid.dx
+    frac_bwd = (xs[:, None] - y[None, :] + x_max) / grid.dx
+    i_fwd = np.clip(np.floor(frac_fwd).astype(int), 0, n - 2)
+    i_bwd = np.clip(np.floor(frac_bwd).astype(int), 0, n - 2)
+    w_fwd = np.clip(frac_fwd - i_fwd, 0.0, 1.0)
+    w_bwd = np.clip(frac_bwd - i_bwd, 0.0, 1.0)
+    kernel = state.matrix / grid.dx
+    g = (
+        kernel[i_fwd, i_bwd] * (1.0 - w_fwd) * (1.0 - w_bwd)
+        + kernel[i_fwd + 1, i_bwd] * w_fwd * (1.0 - w_bwd)
+        + kernel[i_fwd, i_bwd + 1] * (1.0 - w_fwd) * w_bwd
+        + kernel[i_fwd + 1, i_bwd + 1] * w_fwd * w_bwd
+    )
+    g[~inside] = 0.0
+    oscillations = np.exp(-2j * np.outer(y, ps) / hbar)
+    values = (g @ oscillations).real * dy / (np.pi * hbar)
     return WignerSamples(xs, ps, values)
 
 
