@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import basis_opt, infdim, jsonio, measures, state
 from .errors import (
@@ -31,35 +30,6 @@ EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
 
 FAMILIES = ("geometric-oam", "thermal-fock", "coherent-fock", "gaussian-cv", "thermal-cv")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    tol: float = state.DEFAULT_TOLERANCE
-    seed: int = 0
-    budget: int = 10_000
-    target: str = "mu"
-    family: str | None = None
-    grid_d: int = 64
-    p_max: float = 8.0
-    grid_m: int = 512
-    hbar: float = 1.0
-    out_format: str = "json"
-    dim: int = 2
-    kind: str = "haar_pure"
-    rank: int | None = None
-    trace_stride: int = 1000
-    q: float = 0.5
-    nbar: float = 1.0
-    alpha_re: float = 1.0
-    alpha_im: float = 0.0
-    sigma_x: float | None = None
-    x0: float = 0.0
-    p0: float = 0.0
-    wigner_steps: int = 241
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,7 +167,8 @@ def _infdim_payload(args) -> tuple[dict, object]:
         payload["routes"] = routes
         payload["error_bound"] = error_bound
         for rung in _ladder_rungs(cutoff):
-            rung_value, _ = estimate(build(rung))
+            # the top rung is the state already evaluated above
+            rung_value = value if rung == cutoff else estimate(build(rung))[0]
             ladder.append({"d": rung, "value": rung_value})
     else:
         grid = infdim.build_cv_grid(args.grid_d, args.p_max, args.hbar)
@@ -220,13 +191,18 @@ def _infdim_payload(args) -> tuple[dict, object]:
         }
         for rung in _ladder_rungs(grid.d):
             rung_p_max = grid.p_max * math.sqrt(rung / grid.d)
-            rung_grid = infdim.build_cv_grid(rung, rung_p_max, grid.hbar)
-            try:
-                rung_value = infdim.p_inf_cv(build(rung_grid))
-            except ValidationError:
-                # rung too coarse to resolve the state; report the hole
-                # rather than fail the whole run
-                rung_value = None
+            if rung == grid.d:
+                # same lattice as the top state: reuse its value
+                rung_value = position_value
+            else:
+                try:
+                    rung_value = infdim.p_inf_cv(
+                        build(infdim.build_cv_grid(rung, rung_p_max, grid.hbar))
+                    )
+                except ValidationError:
+                    # rung too coarse to resolve the state; report the hole
+                    # rather than fail the whole run
+                    rung_value = None
             ladder.append({"d": rung, "p_max": rung_p_max, "value": rung_value})
 
     payload["ladder"] = ladder

@@ -196,6 +196,34 @@ class TestInfdim:
         value, _ = qc.p_inf_fock(saved)
         assert abs(value - 1.0) < 1e-6
 
+    @pytest.mark.parametrize(
+        "family,constructor,route,size_of",
+        [
+            ("thermal-cv", "thermal_cv", "position", lambda args: args[0].d),
+            ("gaussian-cv", "gaussian_cv", "position", lambda args: args[0].d),
+            ("thermal-fock", "thermal_fock", "fock", lambda args: args[1]),
+            ("geometric-oam", "geometric_oam", "oam", lambda args: args[1]),
+        ],
+    )
+    def test_ladder_top_rung_reuses_top_state(
+        self, tmp_path, monkeypatch, family, constructor, route, size_of
+    ):
+        original = getattr(qc.infdim, constructor)
+        sizes = []
+
+        def counted(*args, **kwargs):
+            sizes.append(size_of(args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(qc.infdim, constructor, counted)
+        out_file = tmp_path / "inf.json"
+        assert main(["infdim", "--family", family, "--grid-d", "64",
+                     "--p-max", "16", "--wigner-steps", "41", "--output", str(out_file)]) == 0
+        result = json.loads(out_file.read_text())
+        assert result["ladder"][-1]["d"] == 64
+        assert result["ladder"][-1]["value"] == result["routes"][route]
+        assert sorted(sizes) == [16, 32, 64]
+
     def test_bad_family_exit_2(self):
         with pytest.raises(SystemExit):
             main(["infdim", "--family", "squeezed"])
