@@ -163,3 +163,28 @@ def test_schur_convexity_under_mixing():
             mix += np.eye(n)[perm] / 4.0
         x = mix @ y
         assert qc.visibility_f(x) <= qc.visibility_f(y) + 1e-12
+
+
+def test_unseeded_search_quality():
+    # without the analytic seeds every search must still close the gap to
+    # its analytic ceiling: all within 1e-3, nearly all within 1e-6
+    budget, stride = 3000, 100
+    gaps = []
+    for dim in (2, 3, 4, 6):
+        for k in range(4):
+            rho = qc.random_state(dim, "ginibre_mixed", 7000 + 10 * dim + k)
+            for search, ceiling in (
+                (qc.maximize_mu, qc.p_n(rho)),
+                (qc.maximize_visibility, qc.visibility(rho)),
+            ):
+                result = search(
+                    rho, budget, 100 + k, include_analytic_seed=False, trace_stride=stride
+                )
+                assert result.evaluations == budget
+                indices = [index for index, _ in result.trace]
+                assert indices == list(range(stride, budget + 1, stride))
+                assert result.best_value <= ceiling + 1e-6
+                gaps.append(ceiling - result.best_value)
+    assert len(gaps) == 32
+    assert max(gaps) <= 1e-3
+    assert sum(gap <= 1e-6 for gap in gaps) >= 0.9 * len(gaps)
