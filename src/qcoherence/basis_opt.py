@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariantViolation, InvalidParameterError
-from .measures import p_n, visibility
+from .measures import _mu_sums, _squared_deviation, p_n, visibility
 from .state import DensityMatrix, _readonly, spectral_decompose
 
 UNITARITY_TOL = 1e-10
@@ -77,6 +77,77 @@ def equalizing_basis(rho: DensityMatrix) -> np.ndarray:
     idx = np.arange(n)
     fourier = np.exp(2j * np.pi * np.outer(idx, idx) / n) / math.sqrt(n)
     return _readonly(spectral_decompose(rho).eigenvectors @ fourier)
+
+
+def _rotated_diagonal(
+    a: float, b: float, w: complex, c: float, s: float
+) -> tuple[float, float]:
+    x = 2.0 * c * s * w.real
+    return c * c * a + s * s * b + x, s * s * a + c * c * b - x
+
+
+class _MuScore:
+    """Degree of coherence of the conjugated state C = U^dagger rho U, held
+    as its literal sums so that one Givens move is scored from its 2x2 block.
+
+    ``rescore`` sets the sums from C itself.  ``block`` returns the value after
+    a move with cosine ``c`` and sine ``s`` on the columns (i, j) whose block
+    is a = C_ii, b = C_jj, w = C_ij e^{-i phi}.  Every other pair (C_ki, C_kj)
+    turns by a unitary, so only |C_ij|^2 leaves the numerator and only C_ii C_jj
+    the denominator (C_ii + C_jj is unchanged).
+    """
+
+    def __init__(self) -> None:
+        self.numerator = 0.0
+        self.denominator = 0.0
+
+    @staticmethod
+    def _ratio(numerator: float, denominator: float) -> float:
+        if denominator <= 1e-300:
+            return 0.0
+        return math.sqrt(max(numerator, 0.0) / denominator)
+
+    def rescore(self, conj: np.ndarray) -> float:
+        self.numerator, self.denominator = _mu_sums(conj)
+        return self._ratio(self.numerator, self.denominator)
+
+    def block(self, a: float, b: float, w: complex, c: float, s: float) -> float:
+        d_i, d_j = _rotated_diagonal(a, b, w, c, s)
+        off = (b - a) * c * s + c * c * w - s * s * w.conjugate()
+        numerator = (
+            self.numerator
+            - (w.real * w.real + w.imag * w.imag)
+            + (off.real * off.real + off.imag * off.imag)
+        )
+        return self._ratio(numerator, self.denominator - a * b + d_i * d_j)
+
+
+class _VisibilityScore:
+    """Detection-probability spread of the diagonal of C = U^dagger rho U,
+    held as Q = sum_k (C_kk - t/N)^2 (t = trace) so that one Givens move is
+    scored from its 2x2 block: only the terms of k = i, j change."""
+
+    def __init__(self) -> None:
+        self.squares = 0.0
+        self.mean = 0.0
+        self.scale = 0.0
+
+    def rescore(self, conj: np.ndarray) -> float:
+        diag = conj.diagonal().real
+        n = diag.size
+        total = float(np.sum(diag))
+        self.mean = total / n
+        self.scale = n / ((n - 1.0) * total * total)
+        self.squares = _squared_deviation(diag)
+        return math.sqrt(self.scale * self.squares)
+
+    def block(self, a: float, b: float, w: complex, c: float, s: float) -> float:
+        d_i, d_j = _rotated_diagonal(a, b, w, c, s)
+        m = self.mean
+        squares = (
+            self.squares - (a - m) ** 2 - (b - m) ** 2 + (d_i - m) ** 2 + (d_j - m) ** 2
+        )
+        return math.sqrt(self.scale * max(squares, 0.0))
 
 
 def _greedy_search(

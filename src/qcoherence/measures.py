@@ -15,6 +15,7 @@ error, so float noise and logic bugs stay distinguishable.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,6 +51,40 @@ def _capped(value: float, context: str, cap_tol: float = _CLAMP) -> float:
             f"{context}: value {value:.12f} exceeds 1 beyond {cap_tol:.0e}"
         )
     return min(value, 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(n, k=1)
+
+
+def _pair_product_sum(values: np.ndarray) -> float:
+    """sum_{i<j} v_i v_j, term by term, so non-negative entries give a sum
+    of non-negative products with no cancellation."""
+    rows, cols = _pairs(values.size)
+    return float(np.sum(values[rows] * values[cols]))
+
+
+def _mu_sums(m: np.ndarray) -> tuple[float, float]:
+    """The literal sums of the basis-dependent degree of coherence:
+    (sum_{i<j} |m_ij|^2, sum_{i<j} m_ii m_jj)."""
+    rows, cols = _pairs(m.shape[0])
+    return (
+        float(np.sum(np.abs(m[rows, cols]) ** 2)),
+        _pair_product_sum(m.diagonal().real),
+    )
+
+
+def _squared_deviation(values: np.ndarray) -> float:
+    """sum_i (a_i - mean)^2.
+
+    N times it is exactly the pairwise spread sum_{i<j} (a_i - a_j)^2; as a
+    sum of squares it has none of the cancellation of N sum a_i^2 - (sum a_i)^2.
+    Shifting by the first entry first leaves the value unchanged and makes it
+    exactly 0 when all entries are equal.
+    """
+    shifted = values - values[0]
+    return float(np.sum((shifted - np.mean(shifted)) ** 2))
 
 
 @dataclass(frozen=True)
@@ -123,10 +158,7 @@ def center_of_mass_distance(spectrum: Spectrum) -> float:
     eigenvalues, placed on the vertices of a regular simplex."""
     lam = spectrum.eigenvalues
     n = lam.size
-    num = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            num += (lam[i] - lam[j]) ** 2
+    num = n * _squared_deviation(lam)
     total = float(np.sum(lam))
     return _capped(
         _clamped_sqrt(num / ((n - 1.0) * total * total), "center_of_mass"),
@@ -142,12 +174,7 @@ def mu_n(rho: DensityMatrix) -> float:
     product vanishes (one diagonal entry is 1, the rest 0), because that 0/0
     form has no single limiting value; the caller decides.
     """
-    m = rho.entries
-    n = rho.dim
-    rows, cols = np.triu_indices(n, k=1)
-    numerator = float(np.sum(np.abs(m[rows, cols]) ** 2))
-    diag = m.diagonal().real
-    denominator = float(np.sum(diag[rows] * diag[cols]))
+    numerator, denominator = _mu_sums(rho.entries)
     if denominator <= 0.0:
         raise DegenerateDiagonalError(
             "all diagonal pair products vanish; degree of coherence is 0/0 here"
@@ -193,10 +220,7 @@ def visibility_f(probs) -> float:
     if total <= 0.0:
         raise AllZeroError("probabilities sum to zero")
     n = arr.size
-    num = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            num += (arr[i] - arr[j]) ** 2
+    num = n * _squared_deviation(arr)
     return math.sqrt(max(num, 0.0) / ((n - 1.0) * total * total))
 
 
@@ -237,10 +261,7 @@ def pure_part_bound_check(
     s = decomposition.weights
     n = decomposition.pure_states.shape[0]
     weight_sum = float(np.sum(s))
-    cross = 0.0
-    for i in range(s.size - 1):
-        for j in range(i + 1, s.size):
-            cross += s[i] * s[j]
+    cross = _pair_product_sum(s)
     p_from_weights = _clamped_sqrt(
         weight_sum * weight_sum - (2.0 * n / (n - 1.0)) * cross, "pure_part_bound_check"
     )

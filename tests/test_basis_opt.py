@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qcoherence as qc
+from qcoherence.basis_opt import _MuScore, _VisibilityScore
 
 
 class TestHaarUnitary:
@@ -188,3 +193,128 @@ def test_unseeded_search_quality():
     assert len(gaps) == 32
     assert max(gaps) <= 1e-3
     assert sum(gap <= 1e-6 for gap in gaps) >= 0.9 * len(gaps)
+
+
+# Reference objectives: the N x N conjugation of the whole unitary, as the
+# search evaluated every proposal before it scored moves from their 2x2 block.
+
+
+def _reference_mu(mat: np.ndarray, u: np.ndarray) -> float:
+    rows, cols = np.triu_indices(mat.shape[0], k=1)
+    conjugated = u.conj().T @ mat @ u
+    numerator = float(np.sum(np.abs(conjugated[rows, cols]) ** 2))
+    diag = conjugated.diagonal().real
+    denominator = float(np.sum(diag[rows] * diag[cols]))
+    if denominator <= 1e-300:
+        return 0.0
+    return math.sqrt(numerator / denominator)
+
+
+def _reference_visibility(mat: np.ndarray, u: np.ndarray) -> float:
+    n = mat.shape[0]
+    rows, cols = np.triu_indices(n, k=1)
+    diag = np.einsum("ji,jk,ki->i", u.conj(), mat, u).real
+    total = float(np.sum(diag))
+    spread = float(np.sum((diag[rows] - diag[cols]) ** 2))
+    return math.sqrt(spread / ((n - 1.0) * total * total))
+
+
+SCORERS = ((_MuScore, _reference_mu), (_VisibilityScore, _reference_visibility))
+
+
+def _moved(u, i, j, angle, phase, phase_i, phase_j):
+    # Givens rotation on columns (i, j) followed by diagonal phases
+    n = u.shape[0]
+    givens = np.eye(n, dtype=complex)
+    c, s = math.cos(angle), math.sin(angle)
+    givens[i, i] = c
+    givens[j, j] = c
+    givens[i, j] = -np.exp(1j * phase) * s
+    givens[j, i] = np.exp(-1j * phase) * s
+    diag_phases = np.ones(n, dtype=complex)
+    diag_phases[i] = np.exp(1j * phase_i)
+    diag_phases[j] = np.exp(1j * phase_j)
+    return (u @ givens) * diag_phases
+
+
+def _block_error(score_cls, reference, mat, u, i, j, angle, phase, phase_i=0.4, phase_j=-1.3):
+    score = score_cls()
+    conj = u.conj().T @ mat @ u
+    assert abs(score.rescore(conj) - reference(mat, u)) <= 1e-12
+    w = complex(conj[i, j]) * complex(math.cos(phase), -math.sin(phase))
+    value = score.block(
+        float(conj[i, i].real), float(conj[j, j].real), w, math.cos(angle), math.sin(angle)
+    )
+    return abs(value - reference(mat, _moved(u, i, j, angle, phase, phase_i, phase_j)))
+
+
+class TestBlockScoreOracle:
+    ANGLES = (0.0, math.pi / 2, -math.pi / 2, 0.3, -1.1, 2.5)
+
+    def _sweep(self, mat, u, rng):
+        n = mat.shape[0]
+        worst = 0.0
+        for angle in self.ANGLES:
+            i, j = (int(k) for k in rng.choice(n, size=2, replace=False))
+            phase = 2 * math.pi * rng.random()
+            for score_cls, reference in SCORERS:
+                worst = max(worst, _block_error(score_cls, reference, mat, u, i, j, angle, phase))
+        return worst
+
+    @pytest.mark.parametrize("dim", (2, 3, 4, 6, 16))
+    @pytest.mark.parametrize("kind", ("ginibre_mixed", "haar_pure"))
+    def test_random_states(self, dim, kind):
+        rng = np.random.default_rng(dim)
+        for k in range(5):
+            rho = qc.random_state(dim, kind, 500 * dim + k)
+            u = qc.haar_unitary(dim, 600 * dim + k)
+            assert self._sweep(rho.entries, u, rng) <= 1e-12
+
+    @pytest.mark.parametrize("dim", (2, 3, 4, 6, 16))
+    def test_near_maximally_mixed(self, dim):
+        eps = 1e-6
+        rng = np.random.default_rng(40 + dim)
+        for k in range(5):
+            other = qc.random_state(dim, "ginibre_mixed", 700 * dim + k).entries
+            mat = (1.0 - eps) * np.eye(dim) / dim + eps * other
+            u = qc.haar_unitary(dim, 800 * dim + k)
+            assert self._sweep(mat, u, rng) <= 1e-12
+
+    @pytest.mark.parametrize("dim", (2, 3, 4, 6, 16))
+    def test_pure_state_in_its_eigenbasis(self, dim):
+        # all diagonal pair products vanish, so mu is 0 until a move
+        # touches the occupied index
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[0, 0] = 1.0
+        u = np.eye(dim, dtype=complex)
+        mu = _MuScore()
+        assert mu.rescore(mat) == 0.0
+        if dim > 2:
+            assert mu.block(0.0, 0.0, 0j, math.cos(0.7), math.sin(0.7)) == 0.0
+        for angle in self.ANGLES:
+            for i, j in ((0, dim - 1), (dim - 1, 0), (1, dim - 1)):
+                for score_cls, reference in SCORERS:
+                    assert _block_error(score_cls, reference, mat, u, i, j, angle, 0.9) <= 1e-12
+        assert _block_error(_MuScore, _reference_mu, mat, u, 0, 1, 0.0, 0.9) == 0.0
+
+
+@settings(max_examples=300)
+@given(
+    dim=st.integers(2, 8),
+    kind=st.sampled_from(("ginibre_mixed", "haar_pure")),
+    state_seed=st.integers(0, 2**32 - 1),
+    unitary_seed=st.integers(0, 2**32 - 1),
+    pair=st.tuples(st.integers(0, 7), st.integers(1, 7)),
+    angle=st.floats(-math.pi, math.pi),
+    phases=st.tuples(*(st.floats(0.0, 2 * math.pi) for _ in range(3))),
+)
+def test_block_score_matches_reference(dim, kind, state_seed, unitary_seed, pair, angle, phases):
+    i = pair[0] % dim
+    j = (i + pair[1] % (dim - 1) + 1) % dim
+    rho = qc.random_state(dim, kind, state_seed)
+    u = qc.haar_unitary(dim, unitary_seed)
+    phase, phase_i, phase_j = phases
+    for score_cls, reference in SCORERS:
+        assert _block_error(
+            score_cls, reference, rho.entries, u, i, j, angle, phase, phase_i, phase_j
+        ) <= 1e-12
