@@ -11,10 +11,24 @@ optimum.
 The local move is a two-parameter Givens rotation on a random index pair
 composed with random diagonal phases, so every iterate stays exactly on the
 unitary group.  Budgets count objective evaluations.
+
+A move on columns (i, j) changes the conjugated state C = U^dagger rho U
+only in rows and columns i and j, and the pair (C_ki, C_kj) of every other
+row turns by a unitary.  With a = C_ii, b = C_jj, w = C_ij e^{-i phi} and
+x = 2cs Re w, the moved block is
+
+    C'_ii = c^2 a + s^2 b + x,    C'_jj = s^2 a + c^2 b - x,
+    |C'_ij| = |(b - a)cs + c^2 w - s^2 conj(w)|,
+
+so both objectives are updated exactly from these three numbers in O(1)
+per proposal; the diagonal phases change neither and are applied to U only
+when a move is accepted.  An accepted move recomputes C and re-scores its
+literal sums.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,6 +43,7 @@ _CEILING_SLACK = 1e-6
 _INITIAL_STEP = 0.5
 _MIN_STEP = 1e-6
 _REJECTS_PER_HALVING = 20
+_DRAW_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -135,7 +150,7 @@ class _VisibilityScore:
     def rescore(self, conj: np.ndarray) -> float:
         diag = conj.diagonal().real
         n = diag.size
-        total = float(np.sum(diag))
+        total = float(diag.sum())
         self.mean = total / n
         self.scale = n / ((n - 1.0) * total * total)
         self.squares = _squared_deviation(diag)
@@ -150,9 +165,34 @@ class _VisibilityScore:
         return math.sqrt(self.scale * max(squares, 0.0))
 
 
+def _draw_moves(rng: np.random.Generator, n: int) -> list[tuple]:
+    """One chunk of proposal draws: an index pair i != j (uniform over ordered
+    pairs), three standard normals (rotation angle and the two diagonal
+    phases, scaled by the step when used) and e^{-i phi} for a uniform phase."""
+    first = rng.integers(n, size=_DRAW_CHUNK)
+    second = (first + 1 + rng.integers(n - 1, size=_DRAW_CHUNK)) % n
+    normals = rng.standard_normal((3, _DRAW_CHUNK))
+    turns = np.exp(-2j * np.pi * rng.random(_DRAW_CHUNK))
+    return list(zip(first.tolist(), second.tolist(), *normals.tolist(), turns.tolist()))
+
+
+def _apply_move(
+    u: np.ndarray, i: int, j: int, c: float, s: float, turn: complex,
+    phase_i: complex, phase_j: complex,
+) -> np.ndarray:
+    """U G D for the Givens rotation G on columns (i, j), G_ji = e^{-i phi} s
+    = turn * s, G_ij = -e^{i phi} s, and diagonal phases D; a new array."""
+    moved = u.copy()
+    col_i = u[:, i]
+    col_j = u[:, j]
+    moved[:, i] = col_i * (c * phase_i) + col_j * (s * turn * phase_i)
+    moved[:, j] = col_j * (c * phase_j) - col_i * (s * turn.conjugate() * phase_j)
+    return moved
+
+
 def _greedy_search(
     rho: DensityMatrix,
-    value_from_unitary,
+    score,
     ceiling: float,
     analytic_seed: np.ndarray | None,
     target: str,
@@ -161,11 +201,23 @@ def _greedy_search(
     trace_stride: int,
     assert_ceiling_tol: float | None,
 ) -> MaximizationResult:
+    """First-improvement search with step halving and random restarts.
+
+    Every proposal is one evaluation, scored by ``score.block`` from the 2x2
+    block of the current conjugated state C = U^dagger rho U (held as nested
+    lists), in O(1) whatever N is.  The diagonal phases of a move change no
+    score, so they enter U only when the move is accepted.  An accepted move
+    updates the two columns of U, recomputes C and re-scores its literal sums
+    (``score.rescore``), so no rounding drift carries from move to move; each
+    restart point is scored the same way.  Both the block scores and the
+    re-scores are held to the ceiling.
+    """
     if budget < 1:
         raise InvalidParameterError(f"budget must be >= 1, got {budget}")
     if trace_stride < 0:
         raise InvalidParameterError("trace_stride must be >= 0")
     n = rho.dim
+    mat = rho.entries
     rng = np.random.default_rng(seed)
 
     best = -math.inf
@@ -174,10 +226,7 @@ def _greedy_search(
     iterations = 0
     trace: list[tuple[int, float]] = []
 
-    def evaluate(u: np.ndarray) -> float:
-        nonlocal evaluations, best, best_u
-        value = value_from_unitary(u)
-        evaluations += 1
+    def checked(value: float) -> float:
         if value > ceiling + _CEILING_SLACK:
             raise InternalInvariantViolation(
                 f"{target}: evaluated value {value:.12f} exceeds analytic "
@@ -188,47 +237,59 @@ def _greedy_search(
                 f"{target}: value {value:.15f} above ceiling {ceiling:.15f} "
                 f"beyond {assert_ceiling_tol:.0e}"
             )
+        return value
+
+    def rescored(u: np.ndarray) -> tuple[float, list]:
+        nonlocal best, best_u
+        conj = u.conj().T @ mat @ u
+        value = checked(score.rescore(conj))
         if value > best:
             best = value
             best_u = u
+        return value, conj.tolist()
+
+    def counted() -> None:
+        nonlocal evaluations
+        evaluations += 1
         if trace_stride and (evaluations % trace_stride == 0):
             trace.append((evaluations, best))
-        return value
 
+    moves: list[tuple] = []
+    drawn = 0
     pending_seed = analytic_seed
     while evaluations < budget:
         start = pending_seed if pending_seed is not None else _haar(rng, n)
         pending_seed = None
         current_u = np.asarray(start, dtype=complex)
-        current = evaluate(current_u)
+        current, conj = rescored(current_u)
+        counted()
         step = _INITIAL_STEP
         rejects = 0
         while evaluations < budget and step >= _MIN_STEP:
             iterations += 1
-            i, j = rng.choice(n, size=2, replace=False)
-            angle = step * rng.standard_normal()
-            phase = 2.0 * np.pi * rng.random()
-            givens = np.eye(n, dtype=complex)
+            if drawn == len(moves):
+                moves = _draw_moves(rng, n)
+                drawn = 0
+            i, j, g_angle, g_i, g_j, turn = moves[drawn]
+            drawn += 1
+            angle = step * g_angle
             c = math.cos(angle)
             s = math.sin(angle)
-            givens[i, i] = c
-            givens[j, j] = c
-            givens[i, j] = -np.exp(1j * phase) * s
-            givens[j, i] = np.exp(-1j * phase) * s
-            diag_phases = np.ones(n, dtype=complex)
-            diag_phases[i] = np.exp(1j * step * rng.standard_normal())
-            diag_phases[j] = np.exp(1j * step * rng.standard_normal())
-            candidate_u = (current_u @ givens) * diag_phases
-            candidate = evaluate(candidate_u)
+            row_i = conj[i]
+            candidate = checked(score.block(row_i[i].real, conj[j][j].real, row_i[j] * turn, c, s))
             if candidate > current:
-                current = candidate
-                current_u = candidate_u
+                current_u = _apply_move(
+                    current_u, i, j, c, s, turn,
+                    cmath.exp(1j * step * g_i), cmath.exp(1j * step * g_j),
+                )
+                current, conj = rescored(current_u)
                 rejects = 0
             else:
                 rejects += 1
                 if rejects >= _REJECTS_PER_HALVING:
                     step *= 0.5
                     rejects = 0
+            counted()
 
     if best > ceiling + _CEILING_SLACK:
         raise InternalInvariantViolation(
@@ -261,27 +322,20 @@ def maximize_mu(
     basis-dependent degree of coherence.
 
     The objective is the literal ratio of off-diagonal to paired-diagonal
-    mass of the conjugated state, evaluated as sums of squares and products
-    so near-zero values stay near zero instead of picking up cancellation
-    noise.  The best value can never exceed the analytic maximum beyond
-    1e-6; with the analytic seed enabled (default) it attains it
-    immediately.
+    mass of the conjugated state, kept as its two sums (squared off-diagonal
+    magnitudes, products of diagonal pairs).  A proposal is scored by
+    updating those sums exactly from the 2x2 block it touches: the move
+    removes one term of each sum, |C_ij|^2 and C_ii C_jj, and adds the new
+    one.  Each update subtracts one of the sum's own non-negative terms, so
+    its rounding error stays at the scale of the sum and near-zero values
+    stay near zero instead of picking up cancellation noise; every accepted
+    move re-scores the literal sums.  The best value can never exceed the
+    analytic maximum beyond 1e-6; with the analytic seed enabled (default)
+    it attains it immediately.
     """
-    mat = rho.entries
-    rows, cols = np.triu_indices(rho.dim, k=1)
-
-    def from_unitary(u: np.ndarray) -> float:
-        conjugated = u.conj().T @ mat @ u
-        numerator = float(np.sum(np.abs(conjugated[rows, cols]) ** 2))
-        diag = conjugated.diagonal().real
-        denominator = float(np.sum(diag[rows] * diag[cols]))
-        if denominator <= 1e-300:
-            return 0.0
-        return math.sqrt(numerator / denominator)
-
     return _greedy_search(
         rho,
-        from_unitary,
+        _MuScore(),
         ceiling=p_n(rho),
         analytic_seed=equalizing_basis(rho) if include_analytic_seed else None,
         target="mu_n",
@@ -303,20 +357,11 @@ def maximize_visibility(
 ) -> MaximizationResult:
     """Random-restart greedy search for the basis maximising the detection
     probability spread; the eigenbasis attains the maximum and is injected
-    as the first seed by default."""
-    n = rho.dim
-    mat = rho.entries
-    rows, cols = np.triu_indices(n, k=1)
-
-    def from_unitary(u: np.ndarray) -> float:
-        diag = np.einsum("ji,jk,ki->i", u.conj(), mat, u).real
-        total = float(np.sum(diag))
-        spread = float(np.sum((diag[rows] - diag[cols]) ** 2))
-        return math.sqrt(spread / ((n - 1.0) * total * total))
-
+    as the first seed by default.  Proposals are scored from their 2x2 block
+    as in :func:`maximize_mu`."""
     return _greedy_search(
         rho,
-        from_unitary,
+        _VisibilityScore(),
         ceiling=visibility(rho),
         analytic_seed=(
             np.asarray(spectral_decompose(rho).eigenvectors) if include_analytic_seed else None

@@ -62,17 +62,15 @@ def _pair_product_sum(values: np.ndarray) -> float:
     """sum_{i<j} v_i v_j, term by term, so non-negative entries give a sum
     of non-negative products with no cancellation."""
     rows, cols = _pairs(values.size)
-    return float(np.sum(values[rows] * values[cols]))
+    return float(values[rows] @ values[cols])
 
 
 def _mu_sums(m: np.ndarray) -> tuple[float, float]:
     """The literal sums of the basis-dependent degree of coherence:
     (sum_{i<j} |m_ij|^2, sum_{i<j} m_ii m_jj)."""
     rows, cols = _pairs(m.shape[0])
-    return (
-        float(np.sum(np.abs(m[rows, cols]) ** 2)),
-        _pair_product_sum(m.diagonal().real),
-    )
+    off = m[rows, cols]
+    return float(np.vdot(off, off).real), _pair_product_sum(m.diagonal().real)
 
 
 def _squared_deviation(values: np.ndarray) -> float:
@@ -84,7 +82,8 @@ def _squared_deviation(values: np.ndarray) -> float:
     exactly 0 when all entries are equal.
     """
     shifted = values - values[0]
-    return float(np.sum((shifted - np.mean(shifted)) ** 2))
+    shifted -= shifted.sum() / shifted.size
+    return float(shifted @ shifted)
 
 
 @dataclass(frozen=True)
