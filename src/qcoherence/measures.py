@@ -55,7 +55,8 @@ def _capped(value: float, context: str, cap_tol: float = _CLAMP) -> float:
 
 @functools.lru_cache(maxsize=None)
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, k=1)
+    rows, cols = np.triu_indices(n, k=1)
+    return _readonly(rows), _readonly(cols)
 
 
 def _pair_product_sum(values: np.ndarray) -> float:

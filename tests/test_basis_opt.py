@@ -195,8 +195,8 @@ def test_unseeded_search_quality():
     assert sum(gap <= 1e-6 for gap in gaps) >= 0.9 * len(gaps)
 
 
-# Reference objectives: the N x N conjugation of the whole unitary, as the
-# search evaluated every proposal before it scored moves from their 2x2 block.
+# Reference objectives: the literal sums of the N x N conjugation by the
+# moved unitary, against which every 2x2 block score is checked.
 
 
 def _reference_mu(mat: np.ndarray, u: np.ndarray) -> float:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qcoherence as qc
+from qcoherence.measures import _mu_sums, _pair_product_sum, _squared_deviation
 
 SQRT_007 = np.sqrt(0.07)  # 0.2645751311064591
 DIAG_532 = np.diag([0.5, 0.3, 0.2])
@@ -345,3 +348,37 @@ class TestCoherenceReport:
             assert qc.max_route_discrepancy(rep) < 1e-9
             assert rep.mu_in_given_basis <= rep.p_n + 1e-9
             assert rep.p_n <= rep.pure_part_weight_sum + 1e-9
+
+
+# Reference pair loops for the shared sums; the vectorised helpers sum in
+# another order, so they are held to a relative tolerance of 1e-12.
+
+
+def _loop_spread(a):
+    return sum((a[i] - a[j]) ** 2 for i in range(a.size) for j in range(i + 1, a.size))
+
+
+def _loop_products(a):
+    return sum(a[i] * a[j] for i in range(a.size) for j in range(i + 1, a.size))
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_pair_sums_match_loops(values):
+    a = np.array(values)
+    spread, products = _loop_spread(a), _loop_products(a)
+    assert abs(a.size * _squared_deviation(a) - spread) <= 1e-12 * (1.0 + spread)
+    assert abs(_pair_product_sum(a) - products) <= 1e-12 * (1.0 + products)
+
+
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+def test_mu_sums_match_loops(dim, seed):
+    m = qc.random_state(dim, "ginibre_mixed", seed).entries
+    numerator = sum(abs(m[i, j]) ** 2 for i in range(dim) for j in range(i + 1, dim))
+    numerator_sum, denominator = _mu_sums(m)
+    assert abs(numerator_sum - numerator) <= 1e-12 * numerator
+    assert abs(denominator - _loop_products(m.diagonal().real)) <= 1e-12 * denominator
+
+
+@pytest.mark.parametrize("n", (2, 3, 7, 40))
+def test_spread_of_equal_entries_is_exactly_zero(n):
+    assert _squared_deviation(np.full(n, 1.0 / 3.0)) == 0.0
