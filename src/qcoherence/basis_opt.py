@@ -180,8 +180,9 @@ def _apply_move(
     u: np.ndarray, i: int, j: int, c: float, s: float, turn: complex,
     phase_i: complex, phase_j: complex,
 ) -> np.ndarray:
-    """U G D for the Givens rotation G on columns (i, j), G_ji = e^{-i phi} s
-    = turn * s, G_ij = -e^{i phi} s, and diagonal phases D; a new array."""
+    """U G D for the Givens rotation G on columns (i, j) (G_ii = G_jj = c,
+    G_ji = s turn, G_ij = -s conj(turn), turn = e^{-i phi}) and the diagonal
+    phases D.  Returns a new array: the search keeps earlier iterates."""
     moved = u.copy()
     col_i = u[:, i]
     col_j = u[:, j]
@@ -192,7 +193,7 @@ def _apply_move(
 
 def _greedy_search(
     rho: DensityMatrix,
-    score,
+    score: _MuScore | _VisibilityScore,
     ceiling: float,
     analytic_seed: np.ndarray | None,
     target: str,
@@ -205,7 +206,9 @@ def _greedy_search(
 
     Every proposal is one evaluation, scored by ``score.block`` from the 2x2
     block of the current conjugated state C = U^dagger rho U (held as nested
-    lists), in O(1) whatever N is.  The diagonal phases of a move change no
+    lists), in O(1) whatever N is.  Each score takes one of its sums' own
+    non-negative terms out and puts the moved one in, so it suffers no
+    catastrophic cancellation.  The diagonal phases of a move change no
     score, so they enter U only when the move is accepted.  An accepted move
     updates the two columns of U, recomputes C and re-scores its literal sums
     (``score.rescore``), so no rounding drift carries from move to move; each
