@@ -289,10 +289,11 @@ class TestBlockScoreOracle:
         u = np.eye(dim, dtype=complex)
         mu = _MuScore()
         assert mu.rescore(mat) == 0.0
-        if dim > 2:
-            assert mu.block(0.0, 0.0, 0j, math.cos(0.7), math.sin(0.7)) == 0.0
+        # any pair that misses the occupied index keeps both sums at 0
+        assert mu.block(0.0, 0.0, 0j, math.cos(0.7), math.sin(0.7)) == 0.0
+        pairs = [(0, dim - 1), (dim - 1, 0)] + ([(1, dim - 1)] if dim > 2 else [])
         for angle in self.ANGLES:
-            for i, j in ((0, dim - 1), (dim - 1, 0), (1, dim - 1)):
+            for i, j in pairs:
                 for score_cls, reference in SCORERS:
                     assert _block_error(score_cls, reference, mat, u, i, j, angle, 0.9) <= 1e-12
         assert _block_error(_MuScore, _reference_mu, mat, u, 0, 1, 0.0, 0.9) == 0.0
