@@ -78,6 +78,6 @@ if __name__ == "__main__":
     import shutil
     import tempfile
 
-    with tempfile.TemporaryDirectory() as scratch:
-        for path in _run(Path(scratch)):
+    with tempfile.TemporaryDirectory() as workdir:
+        for path in _run(Path(workdir)):
             shutil.copyfile(path, GOLDEN / path.name)
