@@ -2,9 +2,55 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcoherence as qc
 from qcoherence import jsonio
+
+
+# Reference encoder: the token-appending form the module used to ship.  The
+# module's encoder must reproduce its output byte for byte.
+def _reference_encode(obj, parts, digits):
+    if isinstance(obj, dict):
+        parts.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            if i:
+                parts.append(", ")
+            parts.append(json.dumps(str(key)))
+            parts.append(": ")
+            _reference_encode(value, parts, digits)
+        parts.append("}")
+    elif isinstance(obj, (list, tuple)):
+        parts.append("[")
+        for i, value in enumerate(obj):
+            if i:
+                parts.append(", ")
+            _reference_encode(value, parts, digits)
+        parts.append("]")
+    elif isinstance(obj, bool):
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        parts.append(jsonio.format_float(float(obj), digits))
+    elif isinstance(obj, str):
+        parts.append(json.dumps(obj))
+    elif obj is None:
+        parts.append("null")
+    else:
+        raise TypeError(f"cannot serialise object of type {type(obj)!r}")
+
+
+def reference_dumps(obj, digits=jsonio.JSON_DIGITS):
+    parts = []
+    _reference_encode(obj, parts, digits)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _reference_matrix_lists(matrix):
+    return [[[complex(z).real, complex(z).imag] for z in row] for row in np.asarray(matrix)]
 
 
 class TestFloatFormatting:
@@ -25,6 +71,97 @@ class TestFloatFormatting:
             "b": [0.5, True, None, "x"],
             "c": {"d": 1 / 7},
         }
+
+
+class TestEncoderOracle:
+    """``jsonio.dumps`` against the reference encoder above."""
+
+    @staticmethod
+    def documents():
+        rho = qc.random_state(4, "ginibre_mixed", 9)
+        search = qc.maximize_visibility(rho, 400, 5, trace_stride=100)
+        grid = qc.build_cv_grid(16, 4.0, 0.5)
+        position = qc.gaussian_cv(grid, 0.6, x0=0.3, p0=-0.8)
+        return {
+            "density": jsonio.density_to_dict(rho),
+            "report": jsonio.report_to_dict(qc.coherence_report(rho)),
+            "maximize": jsonio.maximization_to_dict(search, qc.visibility(rho)),
+            "oam": jsonio.oam_state_to_dict(
+                qc.oam_mode_superposition({-2: 1.0, 1: 0.5j, 2: -0.3}, 3)
+            ),
+            "fock": jsonio.fock_state_to_dict(qc.coherent_fock(1.0 + 0.5j, 12)),
+            "position": jsonio.cv_state_to_dict(position),
+            "momentum": jsonio.cv_state_to_dict(qc.convert_representation(position)),
+        }
+
+    @pytest.mark.parametrize(
+        "name", ["density", "report", "maximize", "oam", "fock", "position", "momentum"]
+    )
+    def test_state_and_result_documents(self, name):
+        doc = self.documents()[name]
+        assert jsonio.dumps(doc) == reference_dumps(doc)
+
+    def test_matrix_lists_are_entrywise_pairs(self):
+        # signed zeros and subnormal parts survive the conversion
+        matrix = np.array(
+            [[1.0 - 0.0j, -0.0 + 1e-310j], [np.complex128(complex(-0.0, -0.0)), 1 / 3 + 2j]]
+        )
+        lists = jsonio.matrix_to_lists(matrix)
+        assert reference_dumps(lists) == reference_dumps(_reference_matrix_lists(matrix))
+        unitary = qc.haar_unitary(3, 4)
+        columns = jsonio.maximization_to_dict(
+            qc.MaximizationResult(1.0, unitary, 0, 1, True, "mu", ()), 1.0
+        )["best_unitary"]["columns"]
+        assert reference_dumps(columns) == reference_dumps(_reference_matrix_lists(unitary.T))
+
+    def test_mixed_payload(self):
+        payload = {
+            "true": True,
+            "false": False,
+            "none": None,
+            "int": 7,
+            "negative": -3,
+            "big": 2**70,
+            "int64": np.int64(-5),
+            "float64": np.float64(1 / 3),
+            "float32": np.float32(0.1),
+            "negative_zero": -0.0,
+            "tiny": 1e-300,
+            "huge": 1.7976931348623157e308,
+            "escaped": 'quote " backslash \\ tab \t newline \n control \x01',
+            "unicode": "\u00fcn\u00efc\u00f8d\u00e9 \u2713 \u2028 \U0001f600",
+            3: "integer key",
+            "nested": [[1, 2.5], (3, "x"), {}, [], ()],
+        }
+        text = jsonio.dumps(payload)
+        assert text == reference_dumps(payload)
+        assert json.loads(text)["negative_zero"] == 0.0
+
+    @pytest.mark.parametrize(
+        "value", [object(), 1 + 2j, np.bool_(True), {1, 2}, b"bytes", np.zeros(2)]
+    )
+    def test_unsupported_type_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            reference_dumps({"a": [value]})
+        with pytest.raises(TypeError):
+            jsonio.dumps({"a": [value]})
+
+    @settings(max_examples=100)
+    @given(
+        st.recursive(
+            st.none()
+            | st.booleans()
+            | st.integers()
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.text(),
+            lambda children: st.lists(children)
+            | st.tuples(children, children)
+            | st.dictionaries(st.text() | st.integers(), children),
+            max_leaves=30,
+        )
+    )
+    def test_random_payloads(self, payload):
+        assert jsonio.dumps(payload) == reference_dumps(payload)
 
 
 class TestMatrixCodec:
