@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcoherence as qc
 from qcoherence import jsonio
@@ -51,6 +58,26 @@ class TestReport:
         )
         assert main(["report", "--input", str(bad)]) == 2
         assert "eigenvalue" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["report", "maximize"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            # an integer literal beyond the float range
+            b'{"dim": 2, "matrix": [[[1' + b"0" * 400 + b', 0.0], [0.0, 0.0]], '
+            b"[[0.0, 0.0], [0.0, 0.0]]]}",
+            b'{"dim": 2, "matrix": "\xff\xfe"}',
+            b"[" * 100_000,
+        ],
+        ids=["huge-integer", "non-utf8", "deep-nesting"],
+    )
+    def test_unreadable_state_file_exit_2(self, tmp_path, capsys, command, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main([command, "--input", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["report", "--input", str(tmp_path / "nope.json")]) == 2
@@ -231,6 +258,20 @@ class TestInfdim:
     def test_bad_grid_exit_2(self):
         assert main(["infdim", "--family", "thermal-cv", "--grid-d", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "gaussian-cv", "--x0", "nan"],
+            ["--family", "gaussian-cv", "--p0", "inf"],
+            ["--family", "coherent-fock", "--alpha-im", "inf"],
+        ],
+    )
+    def test_non_finite_parameters_exit_2(self, argv, capsys):
+        assert main(["infdim", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err
+        assert "Traceback" not in err
+
 
 class TestRandom:
     def test_haar_pure_reports_unit_coherence(self, tmp_path):
@@ -294,3 +335,58 @@ class TestDeterminism:
             assert main(["infdim", "--family", "thermal-fock", "--nbar", "1.0",
                          "--grid-d", "40", "--output", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+@st.composite
+def fuzzed_state_files(draw) -> bytes:
+    """A valid state file broken by one mutation that no reading of the
+    document survives: a prefix short of the closing brace; bytes with
+    the high bit set (undecodable, or a non-ASCII character in a number,
+    in the structure or in one of the two keys); numbers replaced by
+    integers of 20 to 5000 digits (beyond every entry's scale, or the
+    float range, or the integer-parsing limit), by NaN, infinities or
+    strings; or a number or the whole document nested in up to 100 000
+    brackets."""
+    rho = qc.random_state(draw(st.sampled_from((2, 3, 4))), "ginibre_mixed", draw(st.integers(0, 3)))
+    text = jsonio.dumps(jsonio.density_to_dict(rho))
+    kind = draw(st.sampled_from(("truncate", "flip", "number", "nest")))
+    if kind == "truncate":
+        return text[: draw(st.integers(0, text.rindex("}") - 1))].encode()
+    if kind == "flip":
+        data = bytearray(text.encode())
+        for position in draw(st.lists(st.integers(0, len(data) - 1), min_size=1, max_size=3)):
+            data[position] |= 0x80
+        return bytes(data)
+    spans = [match.span() for match in NUMBER.finditer(text)]
+    if kind == "number":
+        chosen = draw(st.sets(st.integers(0, len(spans) - 1), min_size=1, max_size=3))
+        replacement = draw(
+            st.integers(20, 5000).map(lambda digits: "9" * digits)
+            | st.sampled_from(("NaN", "Infinity", "-Infinity", "1e999", '"0.5"', '"x"'))
+        )
+        for index in sorted(chosen, reverse=True):
+            start, stop = spans[index]
+            text = text[:start] + replacement + text[stop:]
+        return text.encode()
+    depth = draw(st.integers(1, 100_000))
+    start, stop = draw(st.sampled_from([(0, len(text.rstrip()))] + spans))
+    return (text[:start] + "[" * depth + text[start:stop] + "]" * depth + text[stop:]).encode()
+
+
+@settings(max_examples=120)
+@given(content=fuzzed_state_files(), command=st.sampled_from(("report", "maximize")))
+def test_fuzzed_state_files_exit_2_or_3_without_traceback(content, command):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "state.json"
+        path.write_bytes(content)
+        argv = [command, "--input", str(path), "--output", str(Path(workdir) / "out")]
+        if command == "maximize":
+            argv += ["--budget", "50"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (2, 3)
+    assert "Traceback" not in err.getvalue()

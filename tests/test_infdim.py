@@ -450,3 +450,50 @@ def test_conversion_properties_on_random_lattice_states(d, p_max, hbar, rank, se
     assert abs(qc.p_inf_cv(momentum) - qc.p_inf_cv(state)) <= 1e-10
     assert np.max(np.abs(momentum.matrix - _dense_conversion_oracle(state))) <= 1e-12
     assert np.max(np.abs(back.matrix - _dense_conversion_oracle(momentum))) <= 1e-12
+
+
+NON_FINITE = (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0))
+CONTAINERS = {
+    "oam": lambda m: qc.OamState(1, m, 0.0),
+    "fock": lambda m: qc.FockState(2, m, 0.0),
+    "lattice": lambda m: qc.CvState(qc.build_cv_grid(1, 1.0), "position", m),
+    "angle": lambda m: qc.AngularCoherence(3, m),
+}
+
+
+class TestNonFiniteInput:
+    """Every discretised-state container rejects NaN and infinite entries,
+    on the diagonal and in a Hermitian off-diagonal pair, before any
+    eigensolver sees them."""
+
+    @pytest.mark.parametrize("container", sorted(CONTAINERS))
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("where", ("diagonal", "off-diagonal"))
+    def test_rejected(self, container, bad, where):
+        mat = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        if where == "diagonal":
+            mat[1, 1] = bad
+        else:
+            mat[0, 2] = bad
+            mat[2, 0] = np.conj(bad)
+        with pytest.raises(qc.InvalidParameterError):
+            CONTAINERS[container](mat)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_wigner_samples_rejected(self, bad):
+        x = np.linspace(-8, 8, 41)
+        p = np.linspace(-8, 8, 41)
+        xx, pp = np.meshgrid(x, p, indexing="ij")
+        values = np.exp(-(xx**2) - pp**2) / np.pi
+        values[20, 20] = bad
+        with pytest.raises(qc.InvalidParameterError):
+            qc.WignerSamples(x, p, values)
+
+    def test_family_constructors_with_non_finite_parameters(self):
+        grid = qc.build_cv_grid(64, 8.0)
+        with pytest.raises(qc.InvalidParameterError):
+            qc.gaussian_cv(grid, np.sqrt(0.5), x0=np.nan)
+        with pytest.raises(qc.InvalidParameterError):
+            qc.gaussian_cv(grid, np.sqrt(0.5), p0=np.inf)
+        with pytest.raises(qc.InvalidParameterError):
+            qc.coherent_fock(complex(1.0, np.inf), 64)

@@ -179,6 +179,10 @@ class TestMatrixCodec:
         with pytest.raises(qc.InvalidParameterError):
             jsonio.matrix_from_lists("nope")
 
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(qc.InvalidParameterError):
+            jsonio.matrix_from_lists([[[10**400, 0]]])
+
 
 class TestStateFiles:
     def test_density_round_trip(self):
