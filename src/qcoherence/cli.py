@@ -98,8 +98,13 @@ def _render(payload: dict, out_format: str) -> str:
 
 
 def _load_state_file(path: str, tol: float) -> state.DensityMatrix:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, bytes that are not UTF-8, an integer past the
+        # parser's digit limit, or nesting past the recursion limit
+        raise InvalidParameterError(f"unreadable state file: {exc}") from None
     return jsonio.density_from_dict(payload, tol)
 
 
@@ -244,12 +249,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,76 +38,81 @@ from .errors import (
     NotNormalizedError,
     NotPSDError,
 )
-from .state import _readonly
+from .state import _eigvalsh, _readonly, as_complex_matrix
 
 _HERMITICITY_TOL = 1e-12
 _PSD_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _COMMUTATOR_TOL = 1e-10
+_ANGLE_NORM_TOL = 1e-6
+_WIGNER_NORM_TOL = 1e-2
 
 REPRESENTATIONS = ("position", "momentum")
 
 
-def _check_truncated_block(matrix: np.ndarray, trace_slack: float, label: str) -> None:
-    defect = float(np.max(np.abs(matrix - matrix.conj().T)))
+def _validated_block(matrix, size: int, label: str, trace_tol=None, trace_hint="") -> np.ndarray:
+    """Read-only complex copy of a size x size block after checking, in
+    order: the shape, finite entries, Hermiticity at 1e-12 and, when
+    ``trace_tol`` is given, the trace within it and the minimum eigenvalue
+    at -1e-10."""
+    mat = np.asarray(matrix, dtype=complex)
+    if mat.shape != (size, size):
+        raise InvalidParameterError(f"{label}: shape must be {(size, size)}, got {mat.shape}")
+    as_complex_matrix(mat)
+    defect = float(np.max(np.abs(mat - mat.conj().T)))
     if defect > _HERMITICITY_TOL:
         raise NotHermitianError(f"{label}: Hermiticity defect {defect:.3e}")
-    trace = complex(matrix.trace())
-    if abs(trace - 1.0) > trace_slack + 1e-12:
-        raise NotNormalizedError(
-            f"{label}: trace {trace} misses 1 beyond declared slack {trace_slack:.3e}"
-        )
-    min_eig = float(np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0)[0])
-    if min_eig < -_PSD_TOL:
-        raise NotPSDError(f"{label}: minimum eigenvalue {min_eig:.3e}")
+    if trace_tol is not None:
+        trace = complex(mat.trace())
+        if abs(trace - 1.0) > trace_tol:
+            raise NotNormalizedError(
+                f"{label}: trace {trace} misses 1 beyond {trace_tol:.3e}{trace_hint}"
+            )
+        min_eig = float(_eigvalsh((mat + mat.conj().T) / 2.0)[0])
+        if min_eig < -_PSD_TOL:
+            raise NotPSDError(f"{label}: minimum eigenvalue {min_eig:.3e}")
+    return _readonly(mat)
 
 
 @dataclass(frozen=True)
-class OamState:
-    """Truncated state in the angular-momentum basis, indices l in [-D, D]
-    stored at array position l + D, plus the caller's bound on the
-    coefficient mass beyond the band."""
+class _TruncatedState:
+    """Truncated state on a band of modes, plus the caller's bound on the
+    coefficient mass beyond the band; the trace may miss 1 by that bound."""
 
     cutoff: int
     coefficients: np.ndarray
     declared_tail_bound: float
+
+    representation: ClassVar[str]
+    label: ClassVar[str]
+    # the band holds modes_per_cutoff * cutoff + 1 modes
+    modes_per_cutoff: ClassVar[int]
 
     def __post_init__(self):
         if self.cutoff < 0:
             raise InvalidParameterError("cutoff must be >= 0")
         if not (0.0 <= self.declared_tail_bound <= 1.0):
             raise InvalidParameterError("tail bound must lie in [0, 1]")
-        size = 2 * self.cutoff + 1
-        mat = np.asarray(self.coefficients, dtype=complex)
-        if mat.shape != (size, size):
-            raise InvalidParameterError(
-                f"coefficients must have shape {(size, size)}, got {mat.shape}"
-            )
-        _check_truncated_block(mat, self.declared_tail_bound, "angular-momentum state")
-        object.__setattr__(self, "coefficients", _readonly(mat))
+        size, slack = self.modes_per_cutoff * self.cutoff + 1, self.declared_tail_bound + 1e-12
+        mat = _validated_block(self.coefficients, size, self.label, slack)
+        object.__setattr__(self, "coefficients", mat)
 
 
-@dataclass(frozen=True)
-class FockState:
+class OamState(_TruncatedState):
+    """Truncated state in the angular-momentum basis, indices l in [-D, D]
+    stored at array position l + D."""
+
+    representation = "oam"
+    label = "angular-momentum state"
+    modes_per_cutoff = 2
+
+
+class FockState(_TruncatedState):
     """Truncated state in the photon-number basis, indices n in [0, D]."""
 
-    cutoff: int
-    coefficients: np.ndarray
-    declared_tail_bound: float
-
-    def __post_init__(self):
-        if self.cutoff < 0:
-            raise InvalidParameterError("cutoff must be >= 0")
-        if not (0.0 <= self.declared_tail_bound <= 1.0):
-            raise InvalidParameterError("tail bound must lie in [0, 1]")
-        size = self.cutoff + 1
-        mat = np.asarray(self.coefficients, dtype=complex)
-        if mat.shape != (size, size):
-            raise InvalidParameterError(
-                f"coefficients must have shape {(size, size)}, got {mat.shape}"
-            )
-        _check_truncated_block(mat, self.declared_tail_bound, "photon-number state")
-        object.__setattr__(self, "coefficients", _readonly(mat))
+    representation = "fock"
+    label = "photon-number state"
+    modes_per_cutoff = 1
 
 
 @dataclass(frozen=True)
@@ -119,15 +125,8 @@ class AngularCoherence:
     def __post_init__(self):
         if self.grid_size < 2:
             raise InvalidParameterError("grid_size must be >= 2")
-        mat = np.asarray(self.samples, dtype=complex)
-        if mat.shape != (self.grid_size, self.grid_size):
-            raise InvalidParameterError(
-                f"samples must have shape {(self.grid_size, self.grid_size)}"
-            )
-        defect = float(np.max(np.abs(mat - mat.conj().T)))
-        if defect > _HERMITICITY_TOL:
-            raise NotHermitianError(f"angular samples: Hermiticity defect {defect:.3e}")
-        object.__setattr__(self, "samples", _readonly(mat))
+        samples = _validated_block(self.samples, self.grid_size, "angular samples")
+        object.__setattr__(self, "samples", samples)
 
 
 @dataclass(frozen=True)
@@ -207,25 +206,9 @@ class CvState:
             raise InvalidParameterError(
                 f"representation must be one of {REPRESENTATIONS}"
             )
-        mat = np.asarray(self.matrix, dtype=complex)
-        size = self.grid.size
-        if mat.shape != (size, size):
-            raise InvalidParameterError(
-                f"matrix must have shape {(size, size)}, got {mat.shape}"
-            )
-        defect = float(np.max(np.abs(mat - mat.conj().T)))
-        if defect > _HERMITICITY_TOL:
-            raise NotHermitianError(f"lattice state: Hermiticity defect {defect:.3e}")
-        trace = complex(mat.trace())
-        if abs(trace - 1.0) > _TRACE_TOL:
-            raise NotNormalizedError(
-                f"lattice state: trace {trace} misses 1 beyond {_TRACE_TOL:.0e}; "
-                "the grid may not resolve or contain the state"
-            )
-        min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0])
-        if min_eig < -_PSD_TOL:
-            raise NotPSDError(f"lattice state: minimum eigenvalue {min_eig:.3e}")
-        object.__setattr__(self, "matrix", _readonly(mat))
+        hint = "; the grid may not resolve or contain the state"
+        mat = _validated_block(self.matrix, self.grid.size, "lattice state", _TRACE_TOL, hint)
+        object.__setattr__(self, "matrix", mat)
 
 
 @dataclass(frozen=True)
@@ -246,6 +229,8 @@ class WignerSamples:
             raise InvalidParameterError(
                 f"values must have shape {(x.size, p.size)}, got {values.shape}"
             )
+        if not np.all(np.isfinite(values)):
+            raise InvalidParameterError("phase-space samples must be finite")
         for name, axis in (("x", x), ("p", p)):
             steps = np.diff(axis)
             if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0) or steps[0] <= 0:
@@ -267,28 +252,19 @@ class WignerSamples:
 # square-sum estimators
 
 
-def _sqrt_sum_with_tail(coefficients: np.ndarray, tail: float, label: str) -> tuple[float, float]:
-    total = float(np.sum(np.abs(coefficients) ** 2))
+def p_inf_oam(state: OamState | FockState) -> tuple[float, float]:
+    """Square root of the truncated coefficient square-sum S, with the error
+    bound t / (2 sqrt(S)) obtained by pushing the declared tail t through
+    the square root.  One body serves both bases: ``p_inf_fock`` is the
+    same function."""
+    total = float(np.sum(np.abs(state.coefficients) ** 2))
     if total <= 0.0:
-        raise EmptyStateError(f"{label}: all coefficients are zero")
+        raise EmptyStateError(f"{state.label}: all coefficients are zero")
     value = math.sqrt(total)
-    error_bound = tail / (2.0 * value) if value > 0.0 else math.sqrt(tail)
-    return value, error_bound
+    return value, state.declared_tail_bound / (2.0 * value)
 
 
-def p_inf_oam(state: OamState) -> tuple[float, float]:
-    """Square root of the truncated coefficient square-sum, with the error
-    bound obtained by pushing the declared tail through the square root."""
-    return _sqrt_sum_with_tail(
-        state.coefficients, state.declared_tail_bound, "angular-momentum state"
-    )
-
-
-def p_inf_fock(state: FockState) -> tuple[float, float]:
-    """Photon-number analogue of :func:`p_inf_oam`."""
-    return _sqrt_sum_with_tail(
-        state.coefficients, state.declared_tail_bound, "photon-number state"
-    )
+p_inf_fock = p_inf_oam
 
 
 def oam_to_angle(state: OamState, grid_size: int) -> AngularCoherence:
@@ -310,14 +286,15 @@ def oam_to_angle(state: OamState, grid_size: int) -> AngularCoherence:
     return AngularCoherence(grid_size, samples)
 
 
-def p_inf_angle(w: AngularCoherence, norm_tol: float = 1e-6) -> float:
+def p_inf_angle(w: AngularCoherence) -> float:
     """Uniform-grid quadrature of the double angle integral of |W|^2,
-    square-rooted; rejects samples whose trace quadrature misses 1."""
+    square-rooted; rejects samples whose trace quadrature misses 1 by more
+    than 1e-6."""
     m = w.grid_size
     weight = 2.0 * np.pi / m
     trace = weight * float(np.sum(w.samples.diagonal().real))
-    if abs(trace - 1.0) > norm_tol:
-        raise NotNormalizedError(f"trace quadrature {trace:.8f} misses 1 beyond {norm_tol:.0e}")
+    if abs(trace - 1.0) > _ANGLE_NORM_TOL:
+        raise NotNormalizedError(f"trace quadrature {trace:.8f} misses 1 beyond {_ANGLE_NORM_TOL}")
     return math.sqrt(weight * weight * float(np.sum(np.abs(w.samples) ** 2)))
 
 
@@ -467,16 +444,17 @@ def wigner_from_cv(
     return WignerSamples(xs, ps, values)
 
 
-def p_inf_wigner(w: WignerSamples, hbar: float, norm_tol: float = 1e-2) -> float:
+def p_inf_wigner(w: WignerSamples, hbar: float) -> float:
     """Uniform quadrature of 2*pi*hbar times the squared phase-space
-    samples, square-rooted; rejects unnormalised sample sets."""
+    samples, square-rooted; rejects sample sets whose normalisation misses
+    1 by more than 1e-2."""
     if not (hbar > 0.0 and math.isfinite(hbar)):
         raise InvalidParameterError("hbar must be a positive real")
     cell = w.dx * w.dp
     norm = cell * float(np.sum(w.values))
-    if abs(norm - 1.0) > norm_tol:
+    if abs(norm - 1.0) > _WIGNER_NORM_TOL:
         raise NotNormalizedError(
-            f"phase-space normalisation {norm:.8f} misses 1 beyond {norm_tol:.0e}"
+            f"phase-space normalisation {norm:.8f} misses 1 beyond {_WIGNER_NORM_TOL:.0e}"
         )
     return math.sqrt(2.0 * np.pi * hbar * cell * float(np.sum(w.values**2)))
 

@@ -30,63 +30,42 @@ def format_float(value: float, digits: int = JSON_DIGITS) -> str:
     return f"{value:.{digits}g}"
 
 
-def _encode(obj, parts: list[str], digits: int) -> None:
+def _encode(obj) -> str:
     if isinstance(obj, dict):
-        parts.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                parts.append(", ")
-            parts.append(json.dumps(str(key)))
-            parts.append(": ")
-            _encode(value, parts, digits)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                parts.append(", ")
-            _encode(value, parts, digits)
-        parts.append("]")
-    elif isinstance(obj, bool):
-        parts.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(format_float(float(obj), digits))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif obj is None:
-        parts.append("null")
-    else:
-        raise TypeError(f"cannot serialise object of type {type(obj)!r}")
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_encode(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_encode, obj)) + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot serialise object of type {type(obj)!r}")
 
 
-def dumps(obj, digits: int = JSON_DIGITS) -> str:
-    parts: list[str] = []
-    _encode(obj, parts, digits)
-    parts.append("\n")
-    return "".join(parts)
-
-
-def complex_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+def dumps(obj) -> str:
+    return _encode(obj) + "\n"
 
 
 def matrix_to_lists(matrix: np.ndarray) -> list[list[list[float]]]:
-    return [[complex_pair(entry) for entry in row] for row in np.asarray(matrix, dtype=complex)]
+    """Row-major nested lists of [re, im] pairs."""
+    m = np.asarray(matrix, dtype=complex)
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def matrix_from_lists(rows) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise InvalidParameterError("matrix must be a non-empty list of rows")
-    data = []
     width = None
     for r, row in enumerate(rows):
         if not isinstance(row, list) or (width is not None and len(row) != width):
             raise InvalidParameterError(f"matrix row {r} is malformed")
         width = len(row)
-        entries = []
         for c, cell in enumerate(row):
             if (
                 not isinstance(cell, list)
@@ -96,9 +75,12 @@ def matrix_from_lists(rows) -> np.ndarray:
                 raise InvalidParameterError(
                     f"matrix entry ({r}, {c}) must be a [re, im] pair"
                 )
-            entries.append(complex(cell[0], cell[1]))
-        data.append(entries)
-    return np.array(data, dtype=complex)
+    try:
+        pairs = np.array(rows, dtype=float).reshape(len(rows), width, 2)
+    except OverflowError:
+        raise InvalidParameterError("matrix entries must lie within the float range") from None
+    # adjacent (re, im) doubles are exactly the layout of one complex entry
+    return pairs.view(complex)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +113,9 @@ def bloch_to_dict(vec) -> dict:
 
 
 def report_to_dict(report: CoherenceReport) -> dict:
+    """Every report field, in declaration order, plus the cross-check block."""
     return {
-        "dim": report.dim,
-        "p_n": report.p_n,
-        "frobenius_distance": report.frobenius_distance,
-        "center_of_mass": report.center_of_mass,
-        "bloch_norm": report.bloch_norm,
-        "purity": report.purity,
-        "mu_in_given_basis": report.mu_in_given_basis,
-        "visibility": report.visibility,
-        "pure_part_weight_sum": report.pure_part_weight_sum,
+        **vars(report),
         "checks": {"max_route_discrepancy": max_route_discrepancy(report)},
     }
 
@@ -157,10 +132,7 @@ def maximization_to_dict(result: MaximizationResult, analytic_value: float) -> d
         "converged": result.converged,
         "best_unitary": {
             "dim": unitary.shape[0],
-            "columns": [
-                [complex_pair(entry) for entry in unitary[:, c]]
-                for c in range(unitary.shape[1])
-            ],
+            "columns": matrix_to_lists(unitary.T),
         },
         "trace": [[index, value] for index, value in result.trace],
     }
@@ -170,22 +142,18 @@ def maximization_to_dict(result: MaximizationResult, analytic_value: float) -> d
 # discretised infinite-dimensional states
 
 
-def oam_state_to_dict(state: OamState) -> dict:
+def oam_state_to_dict(state: OamState | FockState) -> dict:
+    """Either truncated state, tagged with its representation; also bound
+    as ``fock_state_to_dict``."""
     return {
-        "representation": "oam",
+        "representation": state.representation,
         "cutoff": state.cutoff,
         "tail_bound": state.declared_tail_bound,
         "matrix": matrix_to_lists(state.coefficients),
     }
 
 
-def fock_state_to_dict(state: FockState) -> dict:
-    return {
-        "representation": "fock",
-        "cutoff": state.cutoff,
-        "tail_bound": state.declared_tail_bound,
-        "matrix": matrix_to_lists(state.coefficients),
-    }
+fock_state_to_dict = oam_state_to_dict
 
 
 def cv_state_to_dict(state: CvState) -> dict:
