@@ -1,13 +1,15 @@
 """Golden outputs of the seeded commands of acceptance criterion 8.
 
-``tests/golden/`` holds the ``report`` and ``maximize`` outputs for the
-state written by ``random --dim 4 --kind ginibre_mixed --seed 9``.  Report
-fields are compared at 1e-12, so a silent numeric drift fails here even
-though two runs of the same code still agree byte for byte.  The search is
-compared by structure, because its path depends on the random stream and
-on the order of floating-point operations: keys, the evaluation count, the
-trace indices, the analytic value at 1e-12, the gap to it and the
-unitarity of the best basis.  Regenerate both files with
+``tests/golden/`` holds the five outputs: the state written by ``random
+--dim 4 --kind ginibre_mixed --seed 9``, its ``report`` and ``maximize``
+outputs, and the ``infdim`` outputs of the gaussian-cv ladder and of
+thermal-fock.  The state, the report and both infdim outputs are compared
+at 1e-12, so a silent numeric drift fails here even though two runs of
+the same code still agree byte for byte.  The search is compared by
+structure, because its path depends on the random stream and on the
+order of floating-point operations: keys, the evaluation count, the trace
+indices, the analytic value at 1e-12, the gap to it and the unitarity of
+the best basis.  Regenerate the files with
 ``PYTHONPATH=src python tests/test_golden.py`` when an output is meant to
 change, and say why in the commit.
 """
@@ -16,6 +18,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qcoherence.cli import main
 
@@ -23,14 +26,30 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 BUDGET = 3000
 
 
-def _run(root: Path) -> tuple[Path, Path]:
-    state, report, search = root / "state.json", root / "report.json", root / "maximize.json"
-    assert main(["random", "--dim", "4", "--kind", "ginibre_mixed", "--seed", "9",
-                 "--output", str(state)]) == 0
-    assert main(["report", "--input", str(state), "--output", str(report)]) == 0
-    assert main(["maximize", "--input", str(state), "--target", "visibility",
-                 "--budget", str(BUDGET), "--seed", "5", "--output", str(search)]) == 0
-    return report, search
+def _run(root: Path) -> dict[str, Path]:
+    paths = {
+        name: root / f"{name}.json"
+        for name in ("random", "report", "maximize", "infdim_gaussian_cv", "infdim_thermal_fock")
+    }
+    state = str(paths["random"])
+    commands = (
+        ["random", "--dim", "4", "--kind", "ginibre_mixed", "--seed", "9", "--output", state],
+        ["report", "--input", state, "--output", str(paths["report"])],
+        ["maximize", "--input", state, "--target", "visibility", "--budget", str(BUDGET),
+         "--seed", "5", "--output", str(paths["maximize"])],
+        ["infdim", "--family", "gaussian-cv", "--grid-d", "128", "--p-max", "11.3",
+         "--output", str(paths["infdim_gaussian_cv"])],
+        ["infdim", "--family", "thermal-fock", "--nbar", "1.0", "--grid-d", "40",
+         "--output", str(paths["infdim_thermal_fock"])],
+    )
+    for argv in commands:
+        assert main(argv) == 0, argv
+    return paths
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory) -> dict[str, Path]:
+    return _run(tmp_path_factory.mktemp("golden"))
 
 
 def _load(path: Path) -> dict:
@@ -42,6 +61,10 @@ def _close(a, b, tol: float) -> None:
         assert sorted(a) == sorted(b)
         for key in a:
             _close(a[key], b[key], tol)
+    elif isinstance(a, list):
+        assert isinstance(b, list) and len(a) == len(b)
+        for x, y in zip(a, b):
+            _close(x, y, tol)
     elif isinstance(a, (int, float)) and not isinstance(a, bool):
         assert abs(a - b) <= tol, (a, b)
     else:
@@ -54,13 +77,21 @@ def _keys(doc) -> object:
     return None
 
 
-def test_report_matches_golden(tmp_path):
-    report, _ = _run(tmp_path)
-    _close(_load(report), _load(GOLDEN / "report.json"), 1e-12)
+def test_random_state_matches_golden(outputs):
+    _close(_load(outputs["random"]), _load(GOLDEN / "random.json"), 1e-12)
 
 
-def test_maximize_matches_golden_structure(tmp_path):
-    search = _load(_run(tmp_path)[1])
+def test_report_matches_golden(outputs):
+    _close(_load(outputs["report"]), _load(GOLDEN / "report.json"), 1e-12)
+
+
+@pytest.mark.parametrize("name", ["infdim_gaussian_cv", "infdim_thermal_fock"])
+def test_infdim_matches_golden(outputs, name):
+    _close(_load(outputs[name]), _load(GOLDEN / f"{name}.json"), 1e-12)
+
+
+def test_maximize_matches_golden_structure(outputs):
+    search = _load(outputs["maximize"])
     golden = _load(GOLDEN / "maximize.json")
     assert _keys(search) == _keys(golden)
     assert search["target"] == golden["target"]
@@ -79,5 +110,5 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as workdir:
-        for path in _run(Path(workdir)):
+        for path in _run(Path(workdir)).values():
             shutil.copyfile(path, GOLDEN / path.name)
