@@ -98,13 +98,13 @@ def _render(payload: dict, out_format: str) -> str:
 
 
 def _load_state_file(path: str, tol: float) -> state.DensityMatrix:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
             payload = json.load(handle)
-    except (ValueError, RecursionError) as exc:
-        # malformed JSON, bytes that are not UTF-8, an integer past the
-        # parser's digit limit, or nesting past the recursion limit
-        raise InvalidParameterError(f"unreadable state file: {exc}") from None
+        except (ValueError, RecursionError) as exc:
+            # malformed JSON, bytes that are not UTF-8, an integer past the
+            # parser's digit limit, or nesting past the recursion limit
+            raise InvalidParameterError(f"unreadable state file: {exc}") from None
     return jsonio.density_from_dict(payload, tol)
 
 

@@ -31,16 +31,17 @@ def format_float(value: float, digits: int = JSON_DIGITS) -> str:
 
 
 def _encode(obj) -> str:
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_encode(v)}" for k, v in obj.items()) + "}"
+    # floats first: state files are almost nothing else
+    if isinstance(obj, (float, np.floating)):
+        return format_float(float(obj))
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(map(_encode, obj)) + "]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_encode(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:
