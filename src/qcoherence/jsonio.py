@@ -62,11 +62,13 @@ def matrix_to_lists(matrix: np.ndarray) -> list[list[list[float]]]:
 def matrix_from_lists(rows) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise InvalidParameterError("matrix must be a non-empty list of rows")
+    data = []
     width = None
     for r, row in enumerate(rows):
         if not isinstance(row, list) or (width is not None and len(row) != width):
             raise InvalidParameterError(f"matrix row {r} is malformed")
         width = len(row)
+        entries = []
         for c, cell in enumerate(row):
             if (
                 not isinstance(cell, list)
@@ -76,12 +78,12 @@ def matrix_from_lists(rows) -> np.ndarray:
                 raise InvalidParameterError(
                     f"matrix entry ({r}, {c}) must be a [re, im] pair"
                 )
-    try:
-        pairs = np.array(rows, dtype=float).reshape(len(rows), width, 2)
-    except OverflowError:
-        raise InvalidParameterError("matrix entries must lie within the float range") from None
-    # adjacent (re, im) doubles are exactly the layout of one complex entry
-    return pairs.view(complex)[..., 0]
+            try:
+                entries.append(complex(cell[0], cell[1]))
+            except OverflowError:
+                raise InvalidParameterError(f"matrix entry ({r}, {c}) overflows a float") from None
+        data.append(entries)
+    return np.array(data, dtype=complex)
 
 
 # ---------------------------------------------------------------------------

@@ -179,20 +179,6 @@ class TestMatrixCodec:
         with pytest.raises(qc.InvalidParameterError):
             jsonio.matrix_from_lists("nope")
 
-    def test_decode_matches_per_cell_complex(self):
-        # the per-cell form the decoder used to build, as the reference
-        rows = [
-            [[-0.0, -0.0], [True, 3], [2**53 + 1, -(10**300)]],
-            [[1 / 3, 5e-324], [False, -0.0], [7, 0.1]],
-            [[1e308, -1e-310], [0, 0], [-2.5, 2**70]],
-        ]
-        decoded = jsonio.matrix_from_lists(rows)
-        reference = np.array([[complex(re, im) for re, im in row] for row in rows])
-        assert decoded.shape == (3, 3) and decoded.dtype == complex
-        for parts in (np.real, np.imag):
-            assert np.array_equal(parts(decoded), parts(reference))
-            assert np.array_equal(np.signbit(parts(decoded)), np.signbit(parts(reference)))
-
     def test_integer_beyond_float_range_rejected(self):
         with pytest.raises(qc.InvalidParameterError):
             jsonio.matrix_from_lists([[[10**400, 0]]])
