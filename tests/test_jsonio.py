@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,33 @@ def reference_dumps(obj, digits=jsonio.JSON_DIGITS):
 
 def _reference_matrix_lists(matrix):
     return [[[complex(z).real, complex(z).imag] for z in row] for row in np.asarray(matrix)]
+
+
+# Entries the 17-digit format must carry exactly: signed zero, the smallest
+# subnormal, extremes and values that are not dyadic.
+_EDGE_FLOATS = (
+    -0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 0.1, 1 / 3, 1.7976931348623157e308
+)
+
+
+@st.composite
+def _matrices(draw):
+    """Complex matrices of shape 1x1, 1xk, kx1, kxk (k <= 12), 0x0 or kx0
+    with finite parts."""
+    k = draw(st.integers(1, 12))
+    rows, cols = draw(st.sampled_from([(1, 1), (1, k), (k, 1), (k, k), (0, 0), (k, 0)]))
+    parts = draw(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS),
+            min_size=2 * rows * cols,
+            max_size=2 * rows * cols,
+        )
+    )
+    pairs = np.array(parts, dtype=float).reshape(rows, cols, 2)
+    matrix = np.empty((rows, cols), dtype=complex)
+    matrix.real = pairs[..., 0]
+    matrix.imag = pairs[..., 1]
+    return matrix
 
 
 class TestFloatFormatting:
@@ -113,6 +141,30 @@ class TestEncoderOracle:
             qc.MaximizationResult(1.0, unitary, 0, 1, True, "mu", ()), 1.0
         )["best_unitary"]["columns"]
         assert reference_dumps(columns) == reference_dumps(_reference_matrix_lists(unitary.T))
+
+    @settings(max_examples=200)
+    @given(_matrices())
+    def test_matrices_of_every_shape(self, matrix):
+        lists = jsonio.matrix_to_lists(matrix)
+        reference = _reference_matrix_lists(matrix)
+        assert isinstance(lists, list)
+        assert lists == reference
+        assert jsonio.dumps(lists) == reference_dumps(reference)
+
+    def test_thermal_lattice_document(self):
+        state = qc.thermal_cv(qc.build_cv_grid(64, 8.0), 1.0)
+        doc = jsonio.cv_state_to_dict(state)
+        assert jsonio.dumps(doc) == reference_dumps(doc)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("part", ("real", "imag"))
+    def test_non_finite_matrix_rejected(self, bad, part):
+        matrix = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        matrix[1, 2] = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+        expected = f"cannot serialise non-finite value {float(bad)}"
+        for doc in (jsonio.matrix_to_lists(matrix), {"matrix": jsonio.matrix_to_lists(matrix)}):
+            with pytest.raises(qc.InvalidParameterError, match=f"^{re.escape(expected)}$"):
+                jsonio.dumps(doc)
 
     def test_mixed_payload(self):
         payload = {
