@@ -273,6 +273,37 @@ class TestInfdim:
         assert "Traceback" not in err
 
 
+class TestRepeatedCalls:
+    """``main`` called again in one process starts from the parser's
+    defaults; nothing carries over from the previous call."""
+
+    def test_default_cutoff_after_explicit_one(self, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        family = ["infdim", "--family", "thermal-fock"]
+        assert main([*family, "--grid-d", "8", "--output", str(first)]) == 0
+        assert main([*family, "--output", str(second)]) == 0
+        assert json.loads(first.read_text())["parameters"]["cutoff"] == 8
+        assert json.loads(second.read_text())["parameters"]["cutoff"] == 64
+
+    def test_json_after_tsv(self, tmp_path):
+        state_file = tmp_path / "state.json"
+        write_state(state_file, np.diag([0.7, 0.3]))
+        tsv, doc = tmp_path / "report.tsv", tmp_path / "report.json"
+        assert main(["report", "--input", str(state_file), "--format", "tsv",
+                     "--output", str(tsv)]) == 0
+        assert main(["report", "--input", str(state_file), "--output", str(doc)]) == 0
+        assert "\t" in tsv.read_text()
+        assert json.loads(doc.read_text())["dim"] == 2
+
+    def test_call_after_parse_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["infdim", "--family", "thermal-fock", "--grid-d", "eight"])
+        assert exc.value.code == 2
+        out_file = tmp_path / "inf.json"
+        assert main(["infdim", "--family", "thermal-fock", "--output", str(out_file)]) == 0
+        assert json.loads(out_file.read_text())["parameters"]["cutoff"] == 64
+
+
 class TestRandom:
     def test_haar_pure_reports_unit_coherence(self, tmp_path):
         state_file = tmp_path / "state.json"

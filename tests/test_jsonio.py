@@ -166,6 +166,15 @@ class TestEncoderOracle:
             with pytest.raises(qc.InvalidParameterError, match=f"^{re.escape(expected)}$"):
                 jsonio.dumps(doc)
 
+    def test_matrix_lists_edited_after_conversion(self):
+        # the encoder writes the entries as they are when it runs
+        lists = jsonio.matrix_to_lists(np.eye(2, dtype=complex) / 2)
+        lists[0][1][0] += 1e-3
+        assert jsonio.dumps(lists) == reference_dumps(lists)
+        lists[1][0][1] = float("inf")
+        with pytest.raises(qc.InvalidParameterError, match="^cannot serialise non-finite value inf$"):
+            jsonio.dumps(lists)
+
     def test_mixed_payload(self):
         payload = {
             "true": True,
