@@ -22,6 +22,7 @@ a configurable positive real, default 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -532,6 +533,8 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockState:
     if cutoff < 0:
         raise InvalidParameterError("cutoff must be >= 0")
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise InvalidParameterError("alpha must be a finite complex number")
     mean = abs(alpha) ** 2
     amps = np.zeros(cutoff + 1, dtype=complex)
     amps[0] = math.exp(-mean / 2.0)
@@ -547,6 +550,8 @@ def gaussian_cv(grid: CvGrid, sigma_x: float, x0: float = 0.0, p0: float = 0.0) 
     contain or resolve it."""
     if not (sigma_x > 0.0 and math.isfinite(sigma_x)):
         raise InvalidParameterError("sigma_x must be a positive real")
+    if not (math.isfinite(x0) and math.isfinite(p0)):
+        raise InvalidParameterError("x0 and p0 must be finite reals")
     x = grid.positions()
     psi = (2.0 * np.pi * sigma_x**2) ** (-0.25) * np.exp(
         -((x - x0) ** 2) / (4.0 * sigma_x**2) + 1j * p0 * (x - x0) / grid.hbar

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -30,8 +31,26 @@ def format_float(value: float, digits: int = JSON_DIGITS) -> str:
     return f"{value:.{digits}g}"
 
 
+class _FiniteMatrix(list):
+    """Rows of [re, im] float pairs converted from a non-empty matrix whose
+    entries were all finite; ``_encode`` formats it from one template."""
+
+
+def _format_matrix(rows: _FiniteMatrix) -> str:
+    cell = f"[%.{JSON_DIGITS}g, %.{JSON_DIGITS}g]"
+    row = "[" + ", ".join([cell] * len(rows[0])) + "]"
+    template = "[" + ", ".join([row] * len(rows)) + "]"
+    return template % tuple(chain.from_iterable(chain.from_iterable(rows)))
+
+
 def _encode(obj) -> str:
-    # floats first: state files are almost nothing else
+    if type(obj) is _FiniteMatrix:
+        text = _format_matrix(obj)
+        # only "nan" and "inf" contain an n: an entry set to one of them
+        # after the conversion takes the generic path below, which rejects it
+        if "n" not in text:
+            return text
+    # then floats: state files are almost nothing else
     if isinstance(obj, (float, np.floating)):
         return format_float(float(obj))
     if isinstance(obj, (list, tuple)):
@@ -54,9 +73,13 @@ def dumps(obj) -> str:
 
 
 def matrix_to_lists(matrix: np.ndarray) -> list[list[list[float]]]:
-    """Row-major nested lists of [re, im] pairs."""
+    """Row-major nested lists of [re, im] pairs.  A non-empty finite matrix
+    comes back as a ``list`` subclass that ``dumps`` formats in one call."""
     m = np.asarray(matrix, dtype=complex)
-    return np.stack((m.real, m.imag), -1).tolist()
+    rows = np.stack((m.real, m.imag), -1).tolist()
+    if m.ndim == 2 and m.size and np.isfinite(m).all():
+        return _FiniteMatrix(rows)
+    return rows
 
 
 def matrix_from_lists(rows) -> np.ndarray:
@@ -167,6 +190,24 @@ def cv_state_to_dict(state: CvState) -> dict:
     }
 
 
+def _file_integer(value, name: str) -> int:
+    """An integer read from a state file; bools are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParameterError(f"{name} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def _file_float(value, name: str) -> float:
+    """A number read from a state file as a float; bools, strings and
+    integers beyond the float range are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidParameterError(f"{name} must be a number, not {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidParameterError(f"{name} overflows a float") from None
+
+
 def infdim_state_from_dict(payload):
     """Load any of the discretised-state file formats, dispatching on the
     representation tag."""
@@ -175,20 +216,20 @@ def infdim_state_from_dict(payload):
     tag = payload["representation"]
     matrix = matrix_from_lists(payload.get("matrix"))
     if tag in ("oam", "fock"):
-        cutoff = payload.get("cutoff")
-        tail = payload.get("tail_bound")
-        if not isinstance(cutoff, int) or not isinstance(tail, (int, float)):
-            raise InvalidParameterError("need integer 'cutoff' and numeric 'tail_bound'")
         cls = OamState if tag == "oam" else FockState
-        return cls(cutoff, matrix, float(tail))
+        return cls(
+            _file_integer(payload.get("cutoff"), "cutoff"),
+            matrix,
+            _file_float(payload.get("tail_bound"), "tail_bound"),
+        )
     if tag in ("position", "momentum"):
         grid_info = payload.get("grid")
         if not isinstance(grid_info, dict):
             raise InvalidParameterError("lattice state file needs a 'grid' object")
         grid = CvGrid(
-            int(grid_info.get("d", 0)),
-            float(grid_info.get("p_max", 0.0)),
-            float(grid_info.get("hbar", 1.0)),
+            _file_integer(grid_info.get("d", 0), "grid d"),
+            _file_float(grid_info.get("p_max", 0.0), "grid p_max"),
+            _file_float(grid_info.get("hbar", 1.0), "grid hbar"),
         )
         return CvState(grid, tag, matrix)
     raise InvalidParameterError(f"unknown representation tag {tag!r}")

@@ -489,6 +489,20 @@ class TestNonFiniteInput:
         with pytest.raises(qc.InvalidParameterError):
             qc.WignerSamples(x, p, values)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_family_parameters_rejected_before_arithmetic(self, bad):
+        grid = qc.build_cv_grid(16, 4.0, 0.5)
+        calls = (
+            lambda: qc.gaussian_cv(grid, 0.6, x0=bad),
+            lambda: qc.gaussian_cv(grid, 0.6, p0=bad),
+            lambda: qc.coherent_fock(complex(bad, 0.0), 12),
+            lambda: qc.coherent_fock(complex(1.0, bad), 12),
+        )
+        for call in calls:
+            with pytest.raises(qc.InvalidParameterError, match="finite"):
+                call()
+
     def test_family_constructors_with_non_finite_parameters(self):
         grid = qc.build_cv_grid(64, 8.0)
         with pytest.raises(qc.InvalidParameterError):

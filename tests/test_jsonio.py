@@ -306,6 +306,58 @@ class TestInfdimStateFiles:
         assert back.representation == "position"
         assert np.max(np.abs(back.matrix - state.matrix)) == 0.0
 
+    @staticmethod
+    def _lattice_doc(**grid):
+        state = qc.gaussian_cv(qc.build_cv_grid(16, 4.0, 0.5), 0.6)
+        doc = json.loads(jsonio.dumps(jsonio.cv_state_to_dict(state)))
+        doc["grid"].update(grid)
+        return doc
+
+    @staticmethod
+    def _fock_doc(**fields):
+        doc = json.loads(jsonio.dumps(jsonio.fock_state_to_dict(qc.thermal_fock(1.0, 6))))
+        doc.update(fields)
+        return doc
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"d": [1]},
+            {"d": "16"},
+            {"d": True},
+            {"d": 16.0},
+            {"p_max": "4.0"},
+            {"p_max": None},
+            {"p_max": 10**400},
+            {"hbar": True},
+            {"hbar": "1"},
+        ],
+        ids=lambda grid: ",".join(f"{k}={v!r:.8}" for k, v in grid.items()),
+    )
+    def test_lattice_grid_values_must_be_numbers(self, grid):
+        with pytest.raises(qc.InvalidParameterError):
+            jsonio.infdim_state_from_dict(self._lattice_doc(**grid))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"tail_bound": 10**400},
+            {"tail_bound": True},
+            {"tail_bound": "0.1"},
+            {"cutoff": True},
+            {"cutoff": "6"},
+        ],
+        ids=lambda fields: ",".join(f"{k}={v!r:.8}" for k, v in fields.items()),
+    )
+    def test_truncated_state_fields_must_be_numbers(self, fields):
+        with pytest.raises(qc.InvalidParameterError):
+            jsonio.infdim_state_from_dict(self._fock_doc(**fields))
+
+    def test_documents_load_before_the_edit(self):
+        assert isinstance(jsonio.infdim_state_from_dict(self._lattice_doc()), qc.CvState)
+        doc = self._fock_doc(tail_bound=1)
+        assert jsonio.infdim_state_from_dict(doc).declared_tail_bound == 1.0
+
     def test_unknown_tag(self):
         with pytest.raises(qc.InvalidParameterError):
             jsonio.infdim_state_from_dict({"representation": "phase", "matrix": [[[1.0, 0.0]]]})
