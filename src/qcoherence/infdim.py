@@ -22,7 +22,6 @@ a configurable positive real, default 1.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -533,7 +532,7 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockState:
     if cutoff < 0:
         raise InvalidParameterError("cutoff must be >= 0")
     alpha = complex(alpha)
-    if not cmath.isfinite(alpha):
+    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise InvalidParameterError("alpha must be a finite complex number")
     mean = abs(alpha) ** 2
     amps = np.zeros(cutoff + 1, dtype=complex)

@@ -151,6 +151,21 @@ class TestEncoderOracle:
         assert lists == reference
         assert jsonio.dumps(lists) == reference_dumps(reference)
 
+    @pytest.mark.parametrize(
+        "rows,cols",
+        [
+            (3, jsonio._BLOCK_FLOATS // 2 + 1),  # one row per block
+            (2, jsonio._BLOCK_FLOATS // 2),  # one full-width row per block
+            (2 * (jsonio._BLOCK_FLOATS // 128) + 5, 64),  # two full blocks and a short one
+        ],
+    )
+    def test_matrices_spanning_blocks(self, rows, cols):
+        rng = np.random.default_rng(rows * cols)
+        matrix = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        matrix[0, 0], matrix[-1, -1] = complex(-0.0, 5e-324), complex(1e300, -0.0)
+        lists = jsonio.matrix_to_lists(matrix)
+        assert jsonio.dumps(lists) == reference_dumps(_reference_matrix_lists(matrix))
+
     def test_thermal_lattice_document(self):
         state = qc.thermal_cv(qc.build_cv_grid(64, 8.0), 1.0)
         doc = jsonio.cv_state_to_dict(state)
