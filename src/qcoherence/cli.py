@@ -13,7 +13,6 @@ unphysical state), 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -33,10 +32,7 @@ EXIT_INTERNAL = 3
 FAMILIES = ("geometric-oam", "thermal-fock", "coherent-fock", "gaussian-cv", "thermal-cv")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every later
-    call in the process."""
     parser = argparse.ArgumentParser(
         prog="qcoherence",
         description="Coherence measures of density matrices and discretised "
@@ -249,7 +245,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except OSError as exc:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import qcoherence as qc
 from qcoherence import jsonio
-from qcoherence.cli import build_parser, main
+from qcoherence.cli import main
 
 
 def write_state(path, matrix):
@@ -276,9 +276,6 @@ class TestInfdim:
 class TestRepeatedCalls:
     """``main`` called again in one process starts from the parser's
     defaults; nothing carries over from the previous call."""
-
-    def test_parser_built_once(self):
-        assert build_parser() is build_parser()
 
     def test_default_cutoff_after_explicit_one(self, tmp_path):
         first, second = tmp_path / "first.json", tmp_path / "second.json"
