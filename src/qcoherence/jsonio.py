@@ -111,7 +111,11 @@ def matrix_from_lists(rows) -> np.ndarray:
             if (
                 not isinstance(cell, list)
                 or len(cell) != 2
-                or not all(isinstance(part, (int, float)) for part in cell)
+                or not isinstance(cell[0], (int, float))
+                or not isinstance(cell[1], (int, float))
+                # JSON true/false load as bool, an int subclass
+                or type(cell[0]) is bool
+                or type(cell[1]) is bool
             ):
                 raise InvalidParameterError(
                     f"matrix entry ({r}, {c}) must be a [re, im] pair"

@@ -46,7 +46,7 @@ def as_complex_matrix(matrix) -> np.ndarray:
     arr = np.asarray(matrix, dtype=complex)
     if arr.ndim != 2:
         raise NotSquareError(f"expected a 2-d matrix, got array of shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise InvalidParameterError("matrix entries must be finite")
     return arr
 

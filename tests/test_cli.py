@@ -79,6 +79,16 @@ class TestReport:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_boolean_matrix_parts_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"dim": 2, "matrix": [[[0.5, false], [false, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}'
+        )
+        assert main(["report", "--input", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["report", "--input", str(tmp_path / "nope.json")]) == 2
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qcoherence as qc
+from qcoherence import infdim
 
 INV_SQRT3 = 1 / np.sqrt(3)
 
@@ -511,3 +512,110 @@ class TestNonFiniteInput:
             qc.gaussian_cv(grid, np.sqrt(0.5), p0=np.inf)
         with pytest.raises(qc.InvalidParameterError):
             qc.coherent_fock(complex(1.0, np.inf), 64)
+
+
+# containers with a positivity gate, by band size; OAM and lattice bands are odd
+PSD_CONTAINERS = {
+    "oam": (qc.OamState.label, lambda m: qc.OamState(len(m) // 2, m, 0.0)),
+    "fock": (qc.FockState.label, lambda m: qc.FockState(len(m) - 1, m, 0.0)),
+    "lattice": (
+        "lattice state",
+        lambda m: qc.CvState(qc.build_cv_grid(len(m) // 2, 1.0), "position", m),
+    ),
+}
+PSD_CASES = [
+    (name, size)
+    for name in sorted(PSD_CONTAINERS)
+    for size in (1, 2, 3, 4, 5, 9, 16, 17, 33, 64, 65)
+    if (name == "fock" or size % 2) and not (name == "lattice" and size == 1)
+]
+# smallest eigenvalues around the gate at -1e-10, including the band
+# (-1e-10, -5e-11) that the shifted factorisation leaves to eigvalsh
+MIN_EIGENVALUES = (
+    -3e-10, -1.5e-10, -1.01e-10, -1e-10, -9.9e-11, -8e-11, -6e-11,
+    -5e-11, -4e-11, -3e-11, -1e-11, -1e-13, 0.0, 1e-12,
+)
+
+
+def _state_with_spectrum(spectrum, seed):
+    rng = np.random.default_rng(seed)
+    size = len(spectrum)
+    g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    u, _ = np.linalg.qr(g)
+    return (u * spectrum) @ u.conj().T
+
+
+def _spectra(size, seed):
+    """Unit-trace spectra whose smallest eigenvalue sweeps MIN_EIGENVALUES;
+    every other spectrum repeats it and adds exact zeros."""
+    if size == 1:
+        yield np.array([1.0])
+        return
+    rng = np.random.default_rng(seed)
+    for k, low in enumerate(MIN_EIGENVALUES):
+        spectrum = np.zeros(size)
+        repeats = 1 + (k % 2) * min(size - 2, 2)
+        spectrum[:repeats] = low
+        rest = size - repeats
+        weights = rng.dirichlet(np.ones(rest))
+        if k % 2 and rest > 2:
+            weights[: rest // 3] = 0.0
+            weights /= weights.sum()
+        spectrum[repeats:] = weights * (1.0 - repeats * low)
+        yield spectrum
+
+
+class TestPositivityGate:
+    """The Cholesky certificate accepts only what eigvalsh accepts, and
+    every rejection carries eigvalsh's minimum eigenvalue in its message."""
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        """Sizes of the matrices the gate hands to eigvalsh, in call order."""
+        calls = []
+        real = infdim._eigvalsh
+
+        def counted(mat):
+            calls.append(len(mat))
+            return real(mat)
+
+        monkeypatch.setattr(infdim, "_eigvalsh", counted)
+        return calls
+
+    @pytest.mark.parametrize(("container", "size"), PSD_CASES)
+    def test_decision_matches_eigvalsh(self, eigvalsh_calls, container, size):
+        label, build = PSD_CONTAINERS[container]
+        for k, spectrum in enumerate(_spectra(size, 300 + size)):
+            mat = _state_with_spectrum(spectrum, 1000 * size + k)
+            oracle = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0])
+            eigvalsh_calls.clear()
+            if oracle < -1e-10:
+                with pytest.raises(qc.NotPSDError) as info:
+                    build(mat)
+                assert str(info.value) == f"{label}: minimum eigenvalue {oracle:.3e}"
+            else:
+                build(mat)
+            low = spectrum[0]
+            if low <= -6e-11:
+                assert eigvalsh_calls, f"eigvalsh not consulted at {low:.2e}"
+            elif low >= -3e-11:
+                assert not eigvalsh_calls, f"eigvalsh consulted at {low:.2e}"
+
+    def test_benchmark_families_take_the_fast_path(self, monkeypatch):
+        def refuse(mat):
+            raise AssertionError("eigvalsh called on a positive state")
+
+        monkeypatch.setattr(infdim, "_eigvalsh", refuse)
+        for d in (32, 64):
+            grid = qc.build_cv_grid(d, 2.0 * np.sqrt(d))
+            for state in (qc.thermal_cv(grid, 1.0), qc.gaussian_cv(grid, np.sqrt(0.5))):
+                qc.convert_representation(state)
+        qc.thermal_fock(1.0, 80)
+        qc.coherent_fock(complex(np.cos(0.3), np.sin(0.3)), 80)
+        qc.geometric_oam(0.5, 60)
+
+    def test_negative_state_reaches_eigvalsh(self, eigvalsh_calls):
+        mat = _state_with_spectrum(np.array([-1e-9, 0.25, 0.75 + 1e-9]), 5)
+        with pytest.raises(qc.NotPSDError, match="minimum eigenvalue -1.000e-09"):
+            qc.FockState(2, mat, 0.0)
+        assert eigvalsh_calls == [3]

@@ -259,6 +259,20 @@ class TestMatrixCodec:
         with pytest.raises(qc.InvalidParameterError):
             jsonio.matrix_from_lists([[[10**400, 0]]])
 
+    @pytest.mark.parametrize("cell", [[True, False], [0.5, False], [True, 0.0]])
+    def test_booleans_rejected(self, cell):
+        with pytest.raises(qc.InvalidParameterError, match=r"entry \(0, 0\)"):
+            jsonio.matrix_from_lists([[cell]])
+
+    def test_numpy_scalars_accepted(self):
+        rows = [[[np.float64(0.5), np.float64(0.0)], [0, np.float64(-0.25)]]]
+        assert np.array_equal(jsonio.matrix_from_lists(rows), np.array([[0.5, -0.25j]]))
+
+    def test_state_with_boolean_zeros_rejected(self):
+        doc = {"dim": 2, "matrix": [[[0.5, False], [False, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
+        with pytest.raises(qc.InvalidParameterError):
+            jsonio.density_from_dict(doc)
+
 
 class TestStateFiles:
     def test_density_round_trip(self):
@@ -320,6 +334,25 @@ class TestInfdimStateFiles:
         assert back.grid == grid
         assert back.representation == "position"
         assert np.max(np.abs(back.matrix - state.matrix)) == 0.0
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            lambda: qc.geometric_oam(0.5, 10),
+            lambda: qc.thermal_fock(1.0, 12),
+            lambda: qc.thermal_cv(qc.build_cv_grid(32, 8.0), 1.0),
+        ],
+        ids=["oam", "fock", "lattice"],
+    )
+    def test_reload_reencodes_byte_identically(self, state):
+        state = state()
+        to_dict = (
+            jsonio.cv_state_to_dict if isinstance(state, qc.CvState) else jsonio.oam_state_to_dict
+        )
+        text = jsonio.dumps(to_dict(state))
+        back = jsonio.infdim_state_from_dict(json.loads(text))
+        assert type(back) is type(state)
+        assert jsonio.dumps(to_dict(back)) == text
 
     @staticmethod
     def _lattice_doc(**grid):
