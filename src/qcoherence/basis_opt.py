@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariantViolation, InvalidParameterError
-from .measures import _mu_sums, _squared_deviation, p_n, visibility
+from .measures import _mu_sums, _spread, _squared_deviation, p_n, visibility_f
 from .state import DensityMatrix, _readonly, spectral_decompose
 
 UNITARITY_TOL = 1e-10
@@ -140,7 +140,8 @@ class _MuScore:
 class _VisibilityScore:
     """Detection-probability spread of the diagonal of C = U^dagger rho U,
     held as Q = sum_k (C_kk - t/N)^2 (t = trace) so that one Givens move is
-    scored from its 2x2 block: only the terms of k = i, j change."""
+    scored from its 2x2 block: only the terms of k = i, j change.  The spread
+    is linear in Q, so ``scale`` is its value per unit of Q."""
 
     def __init__(self) -> None:
         self.squares = 0.0
@@ -152,7 +153,7 @@ class _VisibilityScore:
         n = diag.size
         total = float(diag.sum())
         self.mean = total / n
-        self.scale = n / ((n - 1.0) * total * total)
+        self.scale = _spread(1.0, n, total)
         self.squares = _squared_deviation(diag)
         return math.sqrt(self.scale * self.squares)
 
@@ -362,13 +363,12 @@ def maximize_visibility(
     probability spread; the eigenbasis attains the maximum and is injected
     as the first seed by default.  Proposals are scored from their 2x2 block
     as in :func:`maximize_mu`."""
+    spectrum = spectral_decompose(rho)
     return _greedy_search(
         rho,
         _VisibilityScore(),
-        ceiling=visibility(rho),
-        analytic_seed=(
-            np.asarray(spectral_decompose(rho).eigenvectors) if include_analytic_seed else None
-        ),
+        ceiling=visibility_f(spectrum.eigenvalues),
+        analytic_seed=np.asarray(spectrum.eigenvectors) if include_analytic_seed else None,
         target="visibility_f",
         budget=budget,
         seed=seed,

@@ -134,8 +134,7 @@ def cmd_maximize(args) -> int:
 
 
 def _ladder_rungs(top: int) -> list[int]:
-    rungs = sorted({max(1, top // 4), max(1, top // 2), top})
-    return rungs
+    return sorted({min(top, max(1, top // k)) for k in (4, 2, 1)})
 
 
 def _infdim_payload(args) -> tuple[dict, object]:
@@ -147,24 +146,21 @@ def _infdim_payload(args) -> tuple[dict, object]:
         cutoff = args.grid_d
         if family == "geometric-oam":
             build = lambda d: infdim.geometric_oam(args.q, d)
-            estimate = infdim.p_inf_oam
             payload["parameters"] = {"q": args.q, "cutoff": cutoff}
         elif family == "thermal-fock":
             build = lambda d: infdim.thermal_fock(args.nbar, d)
-            estimate = infdim.p_inf_fock
             payload["parameters"] = {"nbar": args.nbar, "cutoff": cutoff}
         else:
             alpha = complex(args.alpha_re, args.alpha_im)
             build = lambda d: infdim.coherent_fock(alpha, d)
-            estimate = infdim.p_inf_fock
             payload["parameters"] = {
                 "alpha_re": alpha.real,
                 "alpha_im": alpha.imag,
                 "cutoff": cutoff,
             }
         top_state = build(cutoff)
-        value, error_bound = estimate(top_state)
-        routes = {family.split("-")[-1]: value}
+        value, error_bound = infdim.p_inf_oam(top_state)
+        routes = {top_state.representation: value}
         if family == "geometric-oam":
             routes["angle"] = infdim.p_inf_angle(
                 infdim.oam_to_angle(top_state, args.grid_m)
@@ -173,7 +169,7 @@ def _infdim_payload(args) -> tuple[dict, object]:
         payload["error_bound"] = error_bound
         for rung in _ladder_rungs(cutoff):
             # the top rung is the state already evaluated above
-            rung_value = value if rung == cutoff else estimate(build(rung))[0]
+            rung_value = value if rung == cutoff else infdim.p_inf_oam(build(rung))[0]
             ladder.append({"d": rung, "value": rung_value})
     else:
         grid = infdim.build_cv_grid(args.grid_d, args.p_max, args.hbar)
@@ -220,12 +216,10 @@ def cmd_infdim(args) -> int:
     payload, top_state = _infdim_payload(args)
     _emit(_render(payload, args.format), args.output)
     if getattr(args, "save_state", None):
-        if isinstance(top_state, infdim.OamState):
-            doc = jsonio.oam_state_to_dict(top_state)
-        elif isinstance(top_state, infdim.FockState):
-            doc = jsonio.fock_state_to_dict(top_state)
-        else:
+        if isinstance(top_state, infdim.CvState):
             doc = jsonio.cv_state_to_dict(top_state)
+        else:
+            doc = jsonio.oam_state_to_dict(top_state)
         _emit(jsonio.dumps(doc), args.save_state)
     return EXIT_OK
 

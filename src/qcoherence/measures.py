@@ -87,6 +87,13 @@ def _squared_deviation(values: np.ndarray) -> float:
     return float(shifted @ shifted)
 
 
+def _spread(squares: float, n: int, total: float) -> float:
+    """N Q / ((N-1) t^2) for N entries with total t and squared deviation
+    Q = sum_i (a_i - t/N)^2: the squared center-of-mass distance, and the
+    squared visibility, of the entries.  Linear in Q."""
+    return n * squares / ((n - 1.0) * total * total)
+
+
 @dataclass(frozen=True)
 class CoherenceReport:
     """All measures of one state, cross-checked for mutual consistency."""
@@ -157,13 +164,8 @@ def center_of_mass_distance(spectrum: Spectrum) -> float:
     """Distance to the center of mass of point masses equal to the
     eigenvalues, placed on the vertices of a regular simplex."""
     lam = spectrum.eigenvalues
-    n = lam.size
-    num = n * _squared_deviation(lam)
-    total = float(np.sum(lam))
-    return _capped(
-        _clamped_sqrt(num / ((n - 1.0) * total * total), "center_of_mass"),
-        "center_of_mass",
-    )
+    spread = _spread(_squared_deviation(lam), lam.size, float(np.sum(lam)))
+    return _capped(_clamped_sqrt(spread, "center_of_mass"), "center_of_mass")
 
 
 def mu_n(rho: DensityMatrix) -> float:
@@ -219,9 +221,7 @@ def visibility_f(probs) -> float:
     total = float(np.sum(arr))
     if total <= 0.0:
         raise AllZeroError("probabilities sum to zero")
-    n = arr.size
-    num = n * _squared_deviation(arr)
-    return math.sqrt(max(num, 0.0) / ((n - 1.0) * total * total))
+    return math.sqrt(_spread(_squared_deviation(arr), arr.size, total))
 
 
 def visibility(rho: DensityMatrix) -> float:
@@ -231,19 +231,20 @@ def visibility(rho: DensityMatrix) -> float:
     return visibility_f(spectral_decompose(rho).eigenvalues)
 
 
+def _pure_part(spectrum: Spectrum) -> PurePartDecomposition:
+    lam = spectrum.eigenvalues
+    n = lam.size
+    return PurePartDecomposition(
+        _readonly(lam[: n - 1] - lam[n - 1]),
+        _readonly(spectrum.eigenvectors[:, : n - 1]),
+        float(n * lam[n - 1]),
+    )
+
+
 def pure_part_decomposition(rho: DensityMatrix) -> PurePartDecomposition:
     """Unique decomposition into N-1 orthonormal pure parts with weights
     lambda_i - lambda_N plus a maximally mixed part of weight N*lambda_N."""
-    spectrum = spectral_decompose(rho)
-    lam = spectrum.eigenvalues
-    n = lam.size
-    weights = lam[: n - 1] - lam[n - 1]
-    mixed_weight = float(n * lam[n - 1])
-    return PurePartDecomposition(
-        _readonly(weights),
-        _readonly(spectrum.eigenvectors[:, : n - 1]),
-        mixed_weight,
-    )
+    return _pure_part(spectral_decompose(rho))
 
 
 def pure_part_bound_check(
@@ -279,8 +280,10 @@ def coherence_report(rho: DensityMatrix) -> CoherenceReport:
     """Evaluate every measure and enforce their mutual consistency.
 
     The five equivalent routes must agree within 1e-9; the basis-dependent
-    degree of coherence must not exceed them; the coherence measure must not
-    exceed the total pure weight.  Any violation raises
+    degree of coherence must not exceed them; the pure weights must give the
+    coherence measure back through the identity of
+    :func:`pure_part_bound_check` within 1e-10, and the measure must not
+    exceed their total beyond 1e-9.  Any violation raises
     InternalInvariantViolation naming the offending pair.  For states whose
     diagonal makes the basis-dependent ratio a 0/0 form, the reported value
     is 0.0, the limit along nearby states in the same basis.
@@ -309,9 +312,10 @@ def coherence_report(rho: DensityMatrix) -> CoherenceReport:
         raise InternalInvariantViolation(
             f"basis-dependent value {mu:.12f} exceeds maximum {routes['p_n']:.12f}"
         )
-    lam = spectrum.eigenvalues
-    weight_sum = float(np.sum(lam[:-1] - lam[-1]))
-    if routes["p_n"] > weight_sum + _REPORT_TOL:
+    decomposition = _pure_part(spectrum)
+    weight_sum = float(np.sum(decomposition.weights))
+    _, gap = pure_part_bound_check(decomposition, routes["p_n"])
+    if -gap > _REPORT_TOL:
         raise InternalInvariantViolation(
             f"measure {routes['p_n']:.12f} exceeds pure weight sum {weight_sum:.12f}"
         )

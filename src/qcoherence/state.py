@@ -61,7 +61,6 @@ class DensityMatrix:
 
     dim: int
     entries: np.ndarray
-    validation_tolerance: float = DEFAULT_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ def validate_density(matrix, tol: float = DEFAULT_TOLERANCE) -> DensityMatrix:
     pur = float(np.vdot(sym, sym).real)
     if pur > 1.0 + tol:
         raise NotPSDError(f"purity {pur:.12f} exceeds 1 beyond {tol:.1e}")
-    return DensityMatrix(rows, _readonly(sym), tol)
+    return DensityMatrix(rows, _readonly(sym))
 
 
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:

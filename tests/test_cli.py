@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import qcoherence as qc
 from qcoherence import jsonio
-from qcoherence.cli import main
+from qcoherence.cli import _ladder_rungs, main
 
 
 def write_state(path, matrix):
@@ -87,6 +87,14 @@ class TestReport:
         assert main(["report", "--input", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_broken_weight_identity_exit_3(self, tmp_path, capsys, broken_weight_identity):
+        state_file = tmp_path / "state.json"
+        write_state(state_file, np.diag([0.5, 0.3, 0.2]))
+        assert main(["report", "--input", str(state_file)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: weight identity off by ")
         assert "Traceback" not in err
 
     def test_missing_file_exit_2(self, tmp_path):
@@ -260,6 +268,28 @@ class TestInfdim:
         assert result["ladder"][-1]["d"] == 64
         assert result["ladder"][-1]["value"] == result["routes"][route]
         assert sorted(sizes) == [16, 32, 64]
+
+    @pytest.mark.parametrize("family", ["thermal-fock", "coherent-fock"])
+    def test_cutoff_zero_ladder_is_the_top_rung(self, tmp_path, family):
+        out_file = tmp_path / "inf.json"
+        assert main(["infdim", "--family", family, "--grid-d", "0", "--output", str(out_file)]) == 0
+        result = json.loads(out_file.read_text())
+        assert result["ladder"] == [{"d": 0, "value": result["routes"]["fock"]}]
+        assert result["differences"] == []
+
+    @pytest.mark.parametrize(
+        "top,rungs",
+        [
+            (0, [0]), (1, [1]), (2, [1, 2]), (3, [1, 3]), (60, [15, 30, 60]),
+            (64, [16, 32, 64]), (80, [20, 40, 80]), (256, [64, 128, 256]),
+        ],
+    )
+    def test_ladder_rungs(self, top, rungs):
+        assert _ladder_rungs(top) == rungs
+
+    def test_no_rung_above_the_top(self):
+        for top in range(300):
+            assert max(_ladder_rungs(top)) == top
 
     def test_bad_family_exit_2(self):
         with pytest.raises(SystemExit):

@@ -619,3 +619,48 @@ class TestPositivityGate:
         with pytest.raises(qc.NotPSDError, match="minimum eigenvalue -1.000e-09"):
             qc.FockState(2, mat, 0.0)
         assert eigvalsh_calls == [3]
+
+
+def _unit_trace_ratio(d):
+    """sigma / dx at which a Gaussian of width sigma, sampled at the 2d+1
+    lattice points m * dx, sums to 1.  On a coarse lattice the sum crosses 1
+    once: above it too few samples straddle the peak, below it the tails
+    are cut off, so only this one ratio passes the 1e-10 trace check."""
+    m = np.arange(-d, d + 1)
+    lo, hi = 0.1, 3.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if np.sum(np.exp(-(m**2) / (2.0 * mid * mid))) / np.sqrt(2.0 * np.pi) / mid > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@settings(max_examples=40)
+@given(
+    d=st.integers(1, 4),
+    hbar=st.floats(0.1, 10.0),
+    family=st.sampled_from(("gaussian", "thermal")),
+    width=st.floats(0.0, 3.0),
+    p0=st.floats(-3.0, 3.0),
+)
+def test_coarse_lattice_routes_agree(d, hbar, family, width, p0):
+    """On lattices of 3 to 9 points, where a ladder's coarse rungs sit, the
+    position and momentum routes agree to 1e-12 wherever the state
+    validates, and a lattice 1% off the one that holds it is rejected."""
+    if family == "gaussian":
+        sigma = 0.1 + width
+        build = lambda grid: qc.gaussian_cv(grid, sigma, p0=p0)
+    else:
+        # the thermal diagonal is a Gaussian of variance hbar (2 nbar + 1) / 2
+        sigma = np.sqrt(hbar * (2.0 * width + 1.0) / 2.0)
+        build = lambda grid: qc.thermal_cv(grid, width)
+    dx = sigma / _unit_trace_ratio(d)
+    p_max = d * 2.0 * np.pi * hbar / ((2 * d + 1) * dx)
+    state = build(qc.build_cv_grid(d, p_max, hbar))
+    position = qc.p_inf_cv(state)
+    momentum = qc.p_inf_cv(qc.convert_representation(state))
+    assert abs(position - momentum) <= 1e-12
+    with pytest.raises(qc.NotNormalizedError):
+        build(qc.build_cv_grid(d, 1.01 * p_max, hbar))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -348,6 +348,53 @@ class TestCoherenceReport:
             assert qc.max_route_discrepancy(rep) < 1e-9
             assert rep.mu_in_given_basis <= rep.p_n + 1e-9
             assert rep.p_n <= rep.pure_part_weight_sum + 1e-9
+
+    def test_broken_weight_identity_raises(self, broken_weight_identity):
+        rho = qc.validate_density(DIAG_532)
+        with pytest.raises(qc.InternalInvariantViolation, match="^weight identity off by "):
+            qc.coherence_report(rho)
+
+
+@st.composite
+def edge_states(draw) -> np.ndarray:
+    """A state matrix at one of the edges the report must hold at: within
+    1e-8 of the maximally mixed state, with a degenerate spectrum, or
+    rank-deficient with one or more exact zero eigenvalues; N up to 64.
+    The last two are diagonal or turned by a Haar unitary."""
+    n = draw(st.integers(2, 64))
+    seed = draw(st.integers(0, 2**32 - 1))
+    edge = draw(st.sampled_from(("near-mixed", "degenerate", "rank-deficient")))
+    if edge == "near-mixed":
+        eps = draw(st.sampled_from((1e-8, 1e-10, 1e-12, 1e-15, 0.0)))
+        rho = qc.random_state(n, draw(st.sampled_from(("ginibre_mixed", "haar_pure"))), seed)
+        return (1.0 - eps) * np.eye(n) / n + eps * rho.entries
+    rng = np.random.default_rng(seed)
+    if edge == "degenerate":
+        levels = np.array([1.0, *draw(st.lists(st.sampled_from((0.0, 1e-12, 0.1, 0.25, 0.5)),
+                                               max_size=2, unique=True))])
+        lam = levels[rng.integers(levels.size, size=n)]
+        lam[0] = 1.0
+    else:
+        lam = rng.random(n) + 1e-3
+        lam[rng.permutation(n)[: draw(st.integers(1, n - 1))]] = 0.0
+    lam /= lam.sum()
+    if draw(st.booleans()):
+        return np.diag(lam)
+    u = qc.haar_unitary(n, seed)
+    return (u * lam) @ u.conj().T
+
+
+@settings(max_examples=60)
+@given(edge_states())
+def test_report_holds_at_the_edges(matrix):
+    rho = qc.validate_density(matrix)
+    rep = qc.coherence_report(rho)
+    assert qc.max_route_discrepancy(rep) <= 1e-9
+    assert rep.mu_in_given_basis <= rep.p_n + 1e-9
+    split = qc.pure_part_decomposition(rho)
+    holds, _ = qc.pure_part_bound_check(split, rep.p_n)
+    assert holds
+    assert np.all(split.weights >= 0.0)
 
 
 # Reference pair loops for the shared sums; the vectorised helpers sum in
