@@ -23,7 +23,11 @@ x = 2cs Re w, the moved block is
 so both objectives are updated exactly from these three numbers in O(1)
 per proposal; the diagonal phases change neither and are applied to U only
 when a move is accepted.  An accepted move recomputes C and re-scores its
-literal sums.
+literal sums.  C is formed as the Gram matrix B^dagger B of the factor
+B = diag(sqrt(lambda)) V^dagger U of rho = V diag(lambda) V^dagger, so each
+diagonal entry is a sum of non-negative terms and keeps its relative
+accuracy however small it is; every value is held to the analytic ceiling
+within 1e-10.
 """
 
 from __future__ import annotations
@@ -36,9 +40,11 @@ import numpy as np
 
 from .errors import InternalInvariantViolation, InvalidParameterError
 from .measures import _mu_sums, _spread, _squared_deviation, p_n, visibility_f
-from .state import DensityMatrix, _readonly, spectral_decompose
+from .state import DensityMatrix, Spectrum, _readonly, spectral_decompose
 
 UNITARITY_TOL = 1e-10
+_CEILING_TOL = 1e-10
+# a search whose best value comes this close to the ceiling has converged
 _CEILING_SLACK = 1e-6
 _INITIAL_STEP = 0.5
 _MIN_STEP = 1e-6
@@ -48,10 +54,12 @@ _DRAW_CHUNK = 256
 
 @dataclass(frozen=True)
 class MaximizationResult:
-    """Outcome of one search: best value/basis found, effort spent, and the
-    recorded trace of best-so-far values."""
+    """Outcome of one search: best value/basis found, the analytic maximum
+    it is held to, effort spent, and the recorded trace of best-so-far
+    values."""
 
     best_value: float
+    analytic_value: float
     best_unitary: np.ndarray
     iterations: int
     evaluations: int
@@ -88,10 +96,14 @@ def equalizing_basis(rho: DensityMatrix) -> np.ndarray:
     every diagonal entry of the conjugated state is then exactly 1/N, the
     configuration that maximises the basis-dependent degree of coherence.
     """
-    n = rho.dim
+    return _readonly(_equalizing(spectral_decompose(rho)))
+
+
+def _equalizing(spectrum: Spectrum) -> np.ndarray:
+    n = spectrum.eigenvalues.size
     idx = np.arange(n)
     fourier = np.exp(2j * np.pi * np.outer(idx, idx) / n) / math.sqrt(n)
-    return _readonly(spectral_decompose(rho).eigenvectors @ fourier)
+    return spectrum.eigenvectors @ fourier
 
 
 def _rotated_diagonal(
@@ -193,7 +205,7 @@ def _apply_move(
 
 
 def _greedy_search(
-    rho: DensityMatrix,
+    spectrum: Spectrum,
     score: _MuScore | _VisibilityScore,
     ceiling: float,
     analytic_seed: np.ndarray | None,
@@ -201,7 +213,6 @@ def _greedy_search(
     budget: int,
     seed: int,
     trace_stride: int,
-    assert_ceiling_tol: float | None,
 ) -> MaximizationResult:
     """First-improvement search with step halving and random restarts.
 
@@ -211,18 +222,20 @@ def _greedy_search(
     non-negative terms out and puts the moved one in, so it suffers no
     catastrophic cancellation.  The diagonal phases of a move change no
     score, so they enter U only when the move is accepted.  An accepted move
-    updates the two columns of U, recomputes C and re-scores its literal sums
-    (``score.rescore``), so no rounding drift carries from move to move; each
-    restart point is scored the same way.  Both the block scores and the
-    re-scores are held to the ceiling.
+    updates the two columns of U, recomputes C from the factor of ``spectrum``
+    and re-scores its literal sums (``score.rescore``), so no rounding drift
+    carries from move to move; each restart point is scored the same way.
+    Both the block scores and the re-scores are held to the ceiling within
+    1e-10.
     """
     if budget < 1:
         raise InvalidParameterError(f"budget must be >= 1, got {budget}")
     if trace_stride < 0:
         raise InvalidParameterError("trace_stride must be >= 0")
-    n = rho.dim
-    mat = rho.entries
     rng = np.random.default_rng(seed)
+    lam = spectrum.eigenvalues
+    n = lam.size
+    factor = np.sqrt(np.maximum(lam, 0.0))[:, None] * spectrum.eigenvectors.conj().T
 
     best = -math.inf
     best_u: np.ndarray | None = None
@@ -231,21 +244,17 @@ def _greedy_search(
     trace: list[tuple[int, float]] = []
 
     def checked(value: float) -> float:
-        if value > ceiling + _CEILING_SLACK:
+        if value > ceiling + _CEILING_TOL:
             raise InternalInvariantViolation(
-                f"{target}: evaluated value {value:.12f} exceeds analytic "
-                f"ceiling {ceiling:.12f} beyond {_CEILING_SLACK:.0e}"
-            )
-        if assert_ceiling_tol is not None and value > ceiling + assert_ceiling_tol:
-            raise InternalInvariantViolation(
-                f"{target}: value {value:.15f} above ceiling {ceiling:.15f} "
-                f"beyond {assert_ceiling_tol:.0e}"
+                f"{target}: evaluated value {value:.15f} exceeds analytic "
+                f"ceiling {ceiling:.15f} beyond {_CEILING_TOL:.0e}"
             )
         return value
 
     def rescored(u: np.ndarray) -> tuple[float, list]:
         nonlocal best, best_u
-        conj = u.conj().T @ mat @ u
+        b = factor @ u
+        conj = b.conj().T @ b
         value = checked(score.rescore(conj))
         if value > best:
             best = value
@@ -295,15 +304,12 @@ def _greedy_search(
                     rejects = 0
             counted()
 
-    if best > ceiling + _CEILING_SLACK:
-        raise InternalInvariantViolation(
-            f"{target}: best value {best:.12f} exceeds ceiling {ceiling:.12f}"
-        )
     if not trace or trace[-1][0] != evaluations:
         trace.append((evaluations, best))
     assert best_u is not None
     return MaximizationResult(
         best_value=float(best),
+        analytic_value=ceiling,
         best_unitary=_readonly(best_u),
         iterations=iterations,
         evaluations=evaluations,
@@ -320,7 +326,6 @@ def maximize_mu(
     *,
     include_analytic_seed: bool = True,
     trace_stride: int = 0,
-    assert_ceiling_tol: float | None = None,
 ) -> MaximizationResult:
     """Random-restart greedy search for the basis maximising the
     basis-dependent degree of coherence.
@@ -334,19 +339,20 @@ def maximize_mu(
     its rounding error stays at the scale of the sum and near-zero values
     stay near zero instead of picking up cancellation noise; every accepted
     move re-scores the literal sums.  The best value can never exceed the
-    analytic maximum beyond 1e-6; with the analytic seed enabled (default)
-    it attains it immediately.
+    analytic maximum beyond 1e-10; with the analytic seed enabled (default)
+    it attains it immediately.  One eigendecomposition gives the factor of
+    the conjugated state and the seed.
     """
+    spectrum = spectral_decompose(rho)
     return _greedy_search(
-        rho,
+        spectrum,
         _MuScore(),
         ceiling=p_n(rho),
-        analytic_seed=equalizing_basis(rho) if include_analytic_seed else None,
+        analytic_seed=_equalizing(spectrum) if include_analytic_seed else None,
         target="mu_n",
         budget=budget,
         seed=seed,
         trace_stride=trace_stride,
-        assert_ceiling_tol=assert_ceiling_tol,
     )
 
 
@@ -357,15 +363,15 @@ def maximize_visibility(
     *,
     include_analytic_seed: bool = True,
     trace_stride: int = 0,
-    assert_ceiling_tol: float | None = None,
 ) -> MaximizationResult:
     """Random-restart greedy search for the basis maximising the detection
     probability spread; the eigenbasis attains the maximum and is injected
     as the first seed by default.  Proposals are scored from their 2x2 block
-    as in :func:`maximize_mu`."""
+    as in :func:`maximize_mu`, and one eigendecomposition gives the factor,
+    the ceiling and the seed."""
     spectrum = spectral_decompose(rho)
     return _greedy_search(
-        rho,
+        spectrum,
         _VisibilityScore(),
         ceiling=visibility_f(spectrum.eigenvalues),
         analytic_seed=np.asarray(spectrum.eigenvectors) if include_analytic_seed else None,
@@ -373,5 +379,4 @@ def maximize_visibility(
         budget=budget,
         seed=seed,
         trace_stride=trace_stride,
-        assert_ceiling_tol=assert_ceiling_tol,
     )

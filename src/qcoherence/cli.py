@@ -119,17 +119,9 @@ def cmd_maximize(args) -> int:
     if args.budget < 1:
         raise InvalidParameterError("--budget must be >= 1")
     rho = _load_state_file(args.input, args.tol)
-    if args.target == "mu":
-        result = basis_opt.maximize_mu(
-            rho, args.budget, args.seed, trace_stride=args.trace_stride
-        )
-        analytic = measures.p_n(rho)
-    else:
-        result = basis_opt.maximize_visibility(
-            rho, args.budget, args.seed, trace_stride=args.trace_stride
-        )
-        analytic = measures.visibility(rho)
-    _emit(_render(jsonio.maximization_to_dict(result, analytic), args.format), args.output)
+    search = basis_opt.maximize_mu if args.target == "mu" else basis_opt.maximize_visibility
+    result = search(rho, args.budget, args.seed, trace_stride=args.trace_stride)
+    _emit(_render(jsonio.maximization_to_dict(result), args.format), args.output)
     return EXIT_OK
 
 

@@ -165,13 +165,13 @@ def report_to_dict(report: CoherenceReport) -> dict:
     }
 
 
-def maximization_to_dict(result: MaximizationResult, analytic_value: float) -> dict:
+def maximization_to_dict(result: MaximizationResult) -> dict:
     unitary = np.asarray(result.best_unitary)
     return {
         "target": result.target,
         "best_value": result.best_value,
-        "analytic_value": analytic_value,
-        "gap": analytic_value - result.best_value,
+        "analytic_value": result.analytic_value,
+        "gap": result.analytic_value - result.best_value,
         "iterations": result.iterations,
         "evaluations": result.evaluations,
         "converged": result.converged,

@@ -83,9 +83,7 @@ class TestMaximizeMu:
 
     def test_ceiling_assertion_mode(self):
         rho = qc.random_state(3, "ginibre_mixed", 8)
-        result = qc.maximize_mu(
-            rho, 3000, 1, include_analytic_seed=False, assert_ceiling_tol=1e-9
-        )
+        result = qc.maximize_mu(rho, 3000, 1, include_analytic_seed=False)
         assert result.best_value <= qc.p_n(rho) + 1e-9
 
     def test_budget_validation(self):
@@ -115,9 +113,8 @@ class TestMaximizeVisibility:
 
     def test_ceiling_assertion_mode(self):
         rho = qc.random_state(3, "ginibre_mixed", 23)
-        qc.maximize_visibility(
-            rho, 3000, 2, include_analytic_seed=False, assert_ceiling_tol=1e-10
-        )
+        result = qc.maximize_visibility(rho, 3000, 2, include_analytic_seed=False)
+        assert result.best_value <= qc.visibility(rho) + 1e-10
 
 
 class TestSearchMechanics:

@@ -113,7 +113,7 @@ class TestEncoderOracle:
         return {
             "density": jsonio.density_to_dict(rho),
             "report": jsonio.report_to_dict(qc.coherence_report(rho)),
-            "maximize": jsonio.maximization_to_dict(search, qc.visibility(rho)),
+            "maximize": jsonio.maximization_to_dict(search),
             "oam": jsonio.oam_state_to_dict(
                 qc.oam_mode_superposition({-2: 1.0, 1: 0.5j, 2: -0.3}, 3)
             ),
@@ -138,7 +138,7 @@ class TestEncoderOracle:
         assert reference_dumps(lists) == reference_dumps(_reference_matrix_lists(matrix))
         unitary = qc.haar_unitary(3, 4)
         columns = jsonio.maximization_to_dict(
-            qc.MaximizationResult(1.0, unitary, 0, 1, True, "mu", ()), 1.0
+            qc.MaximizationResult(1.0, 1.0, unitary, 0, 1, True, "mu", ())
         )["best_unitary"]["columns"]
         assert reference_dumps(columns) == reference_dumps(_reference_matrix_lists(unitary.T))
 
