@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import InternalInvariantViolation, InvalidParameterError
 from .measures import _mu_sums, _spread, _squared_deviation, p_n, visibility_f
-from .state import DensityMatrix, Spectrum, _readonly, spectral_decompose
+from .state import DensityMatrix, Spectrum, _readonly, _seeded_rng, spectral_decompose
 
 UNITARITY_TOL = 1e-10
 _CEILING_TOL = 1e-10
@@ -86,7 +86,7 @@ def haar_unitary(dim: int, seed: int) -> np.ndarray:
     phase-fixed R-diagonal correction; reproducible for fixed seed."""
     if dim < 2:
         raise InvalidParameterError(f"dimension {dim} < 2")
-    return _readonly(_haar(np.random.default_rng(seed), dim))
+    return _readonly(_haar(_seeded_rng(seed), dim))
 
 
 def equalizing_basis(rho: DensityMatrix) -> np.ndarray:
@@ -226,13 +226,13 @@ def _greedy_search(
     and re-scores its literal sums (``score.rescore``), so no rounding drift
     carries from move to move; each restart point is scored the same way.
     Both the block scores and the re-scores are held to the ceiling within
-    1e-10.
+    1e-10, and the best basis to unitarity within 1e-10.
     """
     if budget < 1:
         raise InvalidParameterError(f"budget must be >= 1, got {budget}")
     if trace_stride < 0:
         raise InvalidParameterError("trace_stride must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     lam = spectrum.eigenvalues
     n = lam.size
     factor = np.sqrt(np.maximum(lam, 0.0))[:, None] * spectrum.eigenvectors.conj().T
@@ -304,9 +304,14 @@ def _greedy_search(
                     rejects = 0
             counted()
 
+    assert best_u is not None
+    defect = unitarity_defect(best_u)
+    if defect > UNITARITY_TOL:
+        raise InternalInvariantViolation(
+            f"{target}: best basis misses unitarity by {defect:.3e} beyond {UNITARITY_TOL:.0e}"
+        )
     if not trace or trace[-1][0] != evaluations:
         trace.append((evaluations, best))
-    assert best_u is not None
     return MaximizationResult(
         best_value=float(best),
         analytic_value=ceiling,

@@ -213,14 +213,20 @@ def visibility_f(probs) -> float:
     difference normalised by the squared total.
 
     Scale-invariant, Schur-convex; 1 exactly when the mass sits on one
-    entry, 0 exactly when all entries are equal.
+    entry, 0 exactly when all entries are equal.  Entries must be finite,
+    and none may lie below -1e-9 times the total (eigenvalues a hair below
+    zero pass).
     """
     arr = np.asarray(probs, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise InvalidParameterError("need a 1-d vector of at least 2 probabilities")
+    if not np.isfinite(arr).all():
+        raise InvalidParameterError("probabilities must be finite")
     total = float(np.sum(arr))
     if total <= 0.0:
         raise AllZeroError("probabilities sum to zero")
+    if arr.min() < -_CLAMP * total:
+        raise InvalidParameterError(f"probability {arr.min():.3e} is negative")
     return math.sqrt(_spread(_squared_deviation(arr), arr.size, total))
 
 

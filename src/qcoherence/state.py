@@ -188,6 +188,14 @@ def spectral_decompose(rho: DensityMatrix) -> Spectrum:
     return Spectrum(_readonly(vals), _readonly(vecs))
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's default generator for a reproducible seed, which must be a
+    non-negative integer."""
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2), computed entrywise as the squared Frobenius norm."""
     return float(np.vdot(rho.entries, rho.entries).real)
@@ -210,7 +218,7 @@ def random_state(dim: int, kind: str, seed: int, rank: int | None = None) -> Den
     elif rank is not None:
         raise InvalidRankError("rank is only meaningful for kind='rank_k'")
 
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     if kind == "haar_pure":
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         psi /= np.linalg.norm(psi)

@@ -2,12 +2,15 @@
 whatever the run's seed and whatever the local example database holds.
 
 ``broken_weight_identity`` breaks the pure-weight identity inside the
-package, for the tests that check that a report enforces it."""
+package, for the tests that check that a report enforces it;
+``broken_unitarity`` makes every accepted move of the basis search leave
+the unitary group, for the tests that check that a search enforces
+unitarity."""
 
 import pytest
 from hypothesis import settings
 
-from qcoherence import measures
+from qcoherence import basis_opt, measures
 
 settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
 settings.load_profile("tier1")
@@ -26,3 +29,16 @@ def broken_weight_identity(monkeypatch):
         return measures.PurePartDecomposition(weights, split.pure_states, split.mixed_weight)
 
     monkeypatch.setattr(measures, "_pure_part", off_identity)
+
+
+@pytest.fixture
+def broken_unitarity(monkeypatch):
+    """Scale every moved basis by 1 + 1e-8: no score changes (both are
+    invariant under a common scale of the basis), and each accepted move
+    takes the basis 2e-8 further from unitarity."""
+    shared = basis_opt._apply_move
+
+    def off_group(*args):
+        return shared(*args) * (1.0 + 1e-8)
+
+    monkeypatch.setattr(basis_opt, "_apply_move", off_group)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qcoherence as qc
+from qcoherence import basis_opt, measures, state
 from qcoherence.basis_opt import _MuScore, _VisibilityScore
 
 
@@ -17,6 +18,10 @@ class TestHaarUnitary:
 
     def test_deterministic(self):
         assert np.array_equal(qc.haar_unitary(2, 123), qc.haar_unitary(2, 123))
+
+    def test_negative_seed(self):
+        with pytest.raises(qc.InvalidParameterError, match="seed"):
+            qc.haar_unitary(2, -1)
 
     def test_first_entry_moment(self):
         # Haar moment E|U_11|^2 = 1/N; Monte-Carlo check at N = 2
@@ -137,6 +142,73 @@ class TestSearchMechanics:
         rho = qc.random_state(4, "ginibre_mixed", 55)
         result = qc.maximize_visibility(rho, 2000, 6)
         assert qc.unitarity_defect(result.best_unitary) < 1e-10
+
+    @pytest.mark.parametrize("search", [qc.maximize_mu, qc.maximize_visibility])
+    def test_unitarity_enforced(self, search, broken_unitarity):
+        rho = qc.random_state(3, "ginibre_mixed", 8)
+        with pytest.raises(qc.InternalInvariantViolation, match="unitarity"):
+            search(rho, 3000, 1, include_analytic_seed=False)
+
+    @pytest.mark.parametrize("search", [qc.maximize_mu, qc.maximize_visibility])
+    def test_negative_seed(self, search):
+        rho = qc.random_state(3, "ginibre_mixed", 8)
+        with pytest.raises(qc.InvalidParameterError, match="seed"):
+            search(rho, 100, -3)
+
+    @pytest.mark.parametrize("seeded", [True, False])
+    @pytest.mark.parametrize("target", ["mu", "visibility"])
+    def test_one_decomposition_per_search(self, monkeypatch, target, seeded):
+        shared = state.spectral_decompose
+        calls = []
+
+        def counted(rho):
+            calls.append(rho)
+            return shared(rho)
+
+        for module in (state, measures, basis_opt):
+            monkeypatch.setattr(module, "spectral_decompose", counted)
+        rho = qc.random_state(4, "ginibre_mixed", 3)
+        search = qc.maximize_mu if target == "mu" else qc.maximize_visibility
+        result = search(rho, 300, 0, include_analytic_seed=seeded)
+        assert len(calls) == 1
+        ceiling = qc.p_n(rho) if target == "mu" else qc.visibility(rho)
+        assert result.analytic_value == ceiling
+
+
+EDGE_KINDS = ("haar_pure", "rank_k", "near_mixed_1e-8", "near_mixed_1e-12", "two_level")
+
+
+def _edge_state(kind: str, dim: int, seed: int) -> qc.DensityMatrix:
+    if kind in ("haar_pure", "rank_k"):
+        rank = 1 + seed % (dim - 1) if kind == "rank_k" else None
+        return qc.random_state(dim, kind, seed, rank)
+    if kind == "two_level":
+        weight = np.random.default_rng(seed).random()
+        return qc.validate_density(np.diag([weight, 1.0 - weight] + [0.0] * (dim - 2)))
+    eps = float(kind.rsplit("_", 1)[1])
+    other = qc.random_state(dim, "ginibre_mixed", seed).entries
+    return qc.validate_density((1.0 - eps) * np.eye(dim) / dim + eps * other)
+
+
+@settings(max_examples=150)
+@given(
+    dim=st.integers(2, 8),
+    kind=st.sampled_from(EDGE_KINDS),
+    state_seed=st.integers(0, 2**16),
+    search_seed=st.integers(0, 2**16),
+    target=st.sampled_from(("mu", "visibility")),
+    seeded=st.booleans(),
+)
+def test_search_holds_its_ceiling_at_the_edges(dim, kind, state_seed, search_seed, target, seeded):
+    # pure, rank-deficient, near-I/N and two-level diagonal states: the
+    # search's own 1e-10 ceiling check never fires, and no value passes it
+    rho = _edge_state(kind, dim, state_seed)
+    search = qc.maximize_mu if target == "mu" else qc.maximize_visibility
+    budget = 600
+    result = search(rho, budget, search_seed, include_analytic_seed=seeded)
+    ceiling = qc.p_n(rho) if target == "mu" else qc.visibility(rho)
+    assert result.best_value <= ceiling + 1e-10
+    assert result.evaluations == budget
 
 
 def test_diagonal_majorized_by_spectrum():

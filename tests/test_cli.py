@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcoherence as qc
-from qcoherence import jsonio
+from qcoherence import basis_opt, jsonio, measures, state
 from qcoherence.cli import _ladder_rungs, main
 
 
@@ -170,6 +170,61 @@ class TestMaximize:
         state_file = tmp_path / "state.json"
         write_state(state_file, np.eye(2) / 2)
         assert main(["maximize", "--input", str(state_file), "--budget", "0"]) == 2
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        state_file = tmp_path / "state.json"
+        write_state(state_file, np.eye(2) / 2)
+        assert main(["maximize", "--input", str(state_file), "--seed", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+
+    @staticmethod
+    def _near_pure_search(tmp_path, seed: int) -> tuple[int, Path]:
+        # a pure state whose second eigenvalue is a rounding error: the mu
+        # search walks to bases where one diagonal entry of U^dagger rho U
+        # is near 1e-11
+        state_file = tmp_path / "state.json"
+        assert main(["random", "--dim", "2", "--kind", "haar_pure", "--seed", "204",
+                     "--output", str(state_file)]) == 0
+        out_file = tmp_path / f"max{seed}.json"
+        code = main(["maximize", "--input", str(state_file), "--target", "mu",
+                     "--budget", "1500", "--seed", str(seed), "--output", str(out_file)])
+        return code, out_file
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_near_pure_state_holds_its_ceiling(self, tmp_path, seed):
+        code, out_file = self._near_pure_search(tmp_path, seed)
+        assert code == 0
+        result = json.loads(out_file.read_text())
+        assert result["best_value"] <= result["analytic_value"] + 1e-10
+        assert result["evaluations"] == 1500
+
+    def test_broken_unitarity_exit_3(self, tmp_path, capsys, broken_unitarity):
+        # on this state every basis scores the ceiling up to rounding, so
+        # the best basis is a moved one
+        code, _ = self._near_pure_search(tmp_path, 0)
+        assert code == 3
+        assert "unitarity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["mu", "visibility"])
+    def test_one_decomposition(self, tmp_path, monkeypatch, target):
+        shared = qc.spectral_decompose
+        calls = []
+
+        def counted(rho):
+            calls.append(rho)
+            return shared(rho)
+
+        for module in (state, measures, basis_opt):
+            monkeypatch.setattr(module, "spectral_decompose", counted)
+        state_file = tmp_path / "state.json"
+        rho = write_state(state_file, np.diag([0.5, 0.3, 0.2]))
+        out_file = tmp_path / "max.json"
+        assert main(["maximize", "--input", str(state_file), "--target", target,
+                     "--budget", "200", "--output", str(out_file)]) == 0
+        assert len(calls) == 1
+        ceiling = qc.p_n(rho) if target == "mu" else qc.visibility(rho)
+        assert json.loads(out_file.read_text())["analytic_value"] == ceiling
 
 
 class TestInfdim:
@@ -377,6 +432,11 @@ class TestRandom:
         assert main(["random", "--dim", "3", "--kind", "rank_k", "--rank", "9",
                      "--seed", "0"]) == 2
         assert "rank" in capsys.readouterr().err
+
+    def test_negative_seed_exit_2(self, capsys):
+        assert main(["random", "--dim", "2", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
 
 
 class TestDeterminism:

@@ -207,6 +207,19 @@ class TestVisibilityF:
         with pytest.raises(qc.InvalidParameterError):
             qc.visibility_f([1.0])
 
+    @pytest.mark.parametrize(
+        "probs",
+        [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 1.0, 2.0], [2.0, -1.0], [0.5, 0.5, -2e-9]],
+    )
+    def test_non_finite_or_negative_entries(self, probs):
+        with pytest.raises(qc.InvalidParameterError):
+            qc.visibility_f(probs)
+
+    def test_eigenvalue_noise_below_zero_passes(self):
+        # eigenvalues of a validated state can sit a rounding error below 0
+        assert_allclose(qc.visibility_f([1.0, -1e-16]), 1.0, atol=1e-15)
+        assert_allclose(qc.visibility_f([0.5, 0.5, -5e-10]), 0.5, atol=1e-9)
+
 
 class TestVisibility:
     def test_pure_state(self):

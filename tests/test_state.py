@@ -174,3 +174,8 @@ class TestRandomState:
     def test_dimension_too_small(self):
         with pytest.raises(qc.DimensionTooSmallError):
             qc.random_state(1, "haar_pure", 0)
+
+    @pytest.mark.parametrize("kind", ["haar_pure", "ginibre_mixed"])
+    def test_negative_seed(self, kind):
+        with pytest.raises(qc.InvalidParameterError, match="seed"):
+            qc.random_state(2, kind, -1)
