@@ -191,8 +191,8 @@ def spectral_decompose(rho: DensityMatrix) -> Spectrum:
 def _seeded_rng(seed: int) -> np.random.Generator:
     """numpy's default generator for a reproducible seed, which must be a
     non-negative integer."""
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng(seed)
 
 

@@ -5,12 +5,12 @@ whatever the run's seed and whatever the local example database holds.
 package, for the tests that check that a report enforces it;
 ``broken_unitarity`` makes every accepted move of the basis search leave
 the unitary group, for the tests that check that a search enforces
-unitarity."""
+unitarity; ``decompositions`` records every call of ``spectral_decompose``."""
 
 import pytest
 from hypothesis import settings
 
-from qcoherence import basis_opt, measures
+from qcoherence import basis_opt, measures, state
 
 settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
 settings.load_profile("tier1")
@@ -42,3 +42,19 @@ def broken_unitarity(monkeypatch):
         return shared(*args) * (1.0 + 1e-8)
 
     monkeypatch.setattr(basis_opt, "_apply_move", off_group)
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """The list of states passed to ``spectral_decompose`` from now on, by
+    any module of the package that calls it."""
+    shared = state.spectral_decompose
+    calls = []
+
+    def counted(rho):
+        calls.append(rho)
+        return shared(rho)
+
+    for module in (state, measures, basis_opt):
+        monkeypatch.setattr(module, "spectral_decompose", counted)
+    return calls

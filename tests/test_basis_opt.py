@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qcoherence as qc
-from qcoherence import basis_opt, measures, state
 from qcoherence.basis_opt import _MuScore, _VisibilityScore
 
 
@@ -157,20 +156,11 @@ class TestSearchMechanics:
 
     @pytest.mark.parametrize("seeded", [True, False])
     @pytest.mark.parametrize("target", ["mu", "visibility"])
-    def test_one_decomposition_per_search(self, monkeypatch, target, seeded):
-        shared = state.spectral_decompose
-        calls = []
-
-        def counted(rho):
-            calls.append(rho)
-            return shared(rho)
-
-        for module in (state, measures, basis_opt):
-            monkeypatch.setattr(module, "spectral_decompose", counted)
+    def test_one_decomposition_per_search(self, decompositions, target, seeded):
         rho = qc.random_state(4, "ginibre_mixed", 3)
         search = qc.maximize_mu if target == "mu" else qc.maximize_visibility
         result = search(rho, 300, 0, include_analytic_seed=seeded)
-        assert len(calls) == 1
+        assert len(decompositions) == 1
         ceiling = qc.p_n(rho) if target == "mu" else qc.visibility(rho)
         assert result.analytic_value == ceiling
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcoherence as qc
-from qcoherence import basis_opt, jsonio, measures, state
+from qcoherence import jsonio
 from qcoherence.cli import _ladder_rungs, main
 
 
@@ -207,22 +207,13 @@ class TestMaximize:
         assert "unitarity" in capsys.readouterr().err
 
     @pytest.mark.parametrize("target", ["mu", "visibility"])
-    def test_one_decomposition(self, tmp_path, monkeypatch, target):
-        shared = qc.spectral_decompose
-        calls = []
-
-        def counted(rho):
-            calls.append(rho)
-            return shared(rho)
-
-        for module in (state, measures, basis_opt):
-            monkeypatch.setattr(module, "spectral_decompose", counted)
+    def test_one_decomposition(self, tmp_path, decompositions, target):
         state_file = tmp_path / "state.json"
         rho = write_state(state_file, np.diag([0.5, 0.3, 0.2]))
         out_file = tmp_path / "max.json"
         assert main(["maximize", "--input", str(state_file), "--target", target,
                      "--budget", "200", "--output", str(out_file)]) == 0
-        assert len(calls) == 1
+        assert len(decompositions) == 1
         ceiling = qc.p_n(rho) if target == "mu" else qc.visibility(rho)
         assert json.loads(out_file.read_text())["analytic_value"] == ceiling
 

@@ -175,7 +175,8 @@ class TestRandomState:
         with pytest.raises(qc.DimensionTooSmallError):
             qc.random_state(1, "haar_pure", 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
     @pytest.mark.parametrize("kind", ["haar_pure", "ginibre_mixed"])
-    def test_negative_seed(self, kind):
+    def test_seed_not_a_non_negative_integer(self, kind, seed):
         with pytest.raises(qc.InvalidParameterError, match="seed"):
-            qc.random_state(2, kind, -1)
+            qc.random_state(2, kind, seed)
