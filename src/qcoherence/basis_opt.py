@@ -40,7 +40,14 @@ import numpy as np
 
 from .errors import InternalInvariantViolation, InvalidParameterError
 from .measures import _mu_sums, _spread, _squared_deviation, p_n, visibility_f
-from .state import DensityMatrix, Spectrum, _readonly, _seeded_rng, spectral_decompose
+from .state import (
+    DensityMatrix,
+    Spectrum,
+    _check_integer,
+    _readonly,
+    _seeded_rng,
+    spectral_decompose,
+)
 
 UNITARITY_TOL = 1e-10
 _CEILING_TOL = 1e-10
@@ -228,10 +235,8 @@ def _greedy_search(
     Both the block scores and the re-scores are held to the ceiling within
     1e-10, and the best basis to unitarity within 1e-10.
     """
-    if budget < 1:
-        raise InvalidParameterError(f"budget must be >= 1, got {budget}")
-    if trace_stride < 0:
-        raise InvalidParameterError("trace_stride must be >= 0")
+    _check_integer(budget, "budget", 1)
+    _check_integer(trace_stride, "trace_stride", 0)
     rng = _seeded_rng(seed)
     lam = spectrum.eigenvalues
     n = lam.size

@@ -208,17 +208,13 @@ def cmd_infdim(args) -> int:
     payload, top_state = _infdim_payload(args)
     _emit(_render(payload, args.format), args.output)
     if getattr(args, "save_state", None):
-        if isinstance(top_state, infdim.CvState):
-            doc = jsonio.cv_state_to_dict(top_state)
-        else:
-            doc = jsonio.oam_state_to_dict(top_state)
-        _emit(jsonio.dumps(doc), args.save_state)
+        _emit(jsonio.dumps_state(top_state), args.save_state)
     return EXIT_OK
 
 
 def cmd_random(args) -> int:
     rho = state.random_state(args.dim, args.kind, args.seed, args.rank)
-    _emit(jsonio.dumps(jsonio.density_to_dict(rho)), args.output)
+    _emit(jsonio.dumps_state(rho), args.output)
     return EXIT_OK
 
 

@@ -188,11 +188,17 @@ def spectral_decompose(rho: DensityMatrix) -> Spectrum:
     return Spectrum(_readonly(vals), _readonly(vecs))
 
 
+def _check_integer(value, name: str, minimum: int) -> None:
+    """Reject ``value`` unless it is an integer of at least ``minimum``; a
+    bool is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def _seeded_rng(seed: int) -> np.random.Generator:
     """numpy's default generator for a reproducible seed, which must be a
     non-negative integer."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_integer(seed, "seed", 0)
     return np.random.default_rng(seed)
 
 

@@ -22,6 +22,11 @@ class TestHaarUnitary:
         with pytest.raises(qc.InvalidParameterError, match="seed"):
             qc.haar_unitary(2, -1)
 
+    @pytest.mark.parametrize("seed", [True, 2.0])
+    def test_bool_or_float_seed(self, seed):
+        with pytest.raises(qc.InvalidParameterError, match="seed"):
+            qc.haar_unitary(2, seed)
+
     def test_first_entry_moment(self):
         # Haar moment E|U_11|^2 = 1/N; Monte-Carlo check at N = 2
         total = 0.0
@@ -153,6 +158,34 @@ class TestSearchMechanics:
         rho = qc.random_state(3, "ginibre_mixed", 8)
         with pytest.raises(qc.InvalidParameterError, match="seed"):
             search(rho, 100, -3)
+
+    @pytest.mark.parametrize("search", [qc.maximize_mu, qc.maximize_visibility])
+    def test_bool_seed(self, search):
+        rho = qc.random_state(3, "ginibre_mixed", 8)
+        with pytest.raises(qc.InvalidParameterError, match="seed"):
+            search(rho, 100, True)
+
+    @pytest.mark.parametrize("search", [qc.maximize_mu, qc.maximize_visibility])
+    @pytest.mark.parametrize(
+        "name,budget,trace_stride",
+        [
+            ("budget", 10.5, 0),
+            ("budget", True, 0),
+            ("budget", np.float64(100.0), 0),
+            ("trace_stride", 10, 2.5),
+            ("trace_stride", 10, True),
+        ],
+    )
+    def test_budget_and_stride_must_be_integers(self, search, name, budget, trace_stride):
+        rho = qc.random_state(3, "ginibre_mixed", 8)
+        with pytest.raises(qc.InvalidParameterError, match=f"^{name} must be an integer"):
+            search(rho, budget, 0, trace_stride=trace_stride)
+
+    def test_numpy_integer_budget_and_stride_accepted(self):
+        rho = qc.random_state(3, "ginibre_mixed", 8)
+        result = qc.maximize_mu(rho, np.int64(10), np.int64(0), trace_stride=np.int32(5))
+        assert result.evaluations == 10
+        assert [index for index, _ in result.trace] == [5, 10]
 
     @pytest.mark.parametrize("seeded", [True, False])
     @pytest.mark.parametrize("target", ["mu", "visibility"])

@@ -288,6 +288,47 @@ class TestInfdim:
         assert abs(value - 1.0) < 1e-6
 
     @pytest.mark.parametrize(
+        "family,options,build",
+        [
+            ("geometric-oam", ["--q", "0.4", "--grid-d", "20"], lambda: qc.geometric_oam(0.4, 20)),
+            ("thermal-fock", ["--nbar", "0.8", "--grid-d", "24"], lambda: qc.thermal_fock(0.8, 24)),
+            (
+                "coherent-fock",
+                ["--alpha-re", "1.0", "--alpha-im", "-0.5", "--grid-d", "24"],
+                lambda: qc.coherent_fock(1.0 - 0.5j, 24),
+            ),
+            (
+                "gaussian-cv",
+                ["--grid-d", "64", "--p-max", "16", "--sigma-x", "0.6", "--x0", "0.5"],
+                lambda: qc.gaussian_cv(qc.build_cv_grid(64, 16.0), 0.6, 0.5, 0.0),
+            ),
+            (
+                "thermal-cv",
+                ["--nbar", "1.0", "--grid-d", "64", "--p-max", "16"],
+                lambda: qc.thermal_cv(qc.build_cv_grid(64, 16.0), 1.0),
+            ),
+        ],
+        ids=["geometric-oam", "thermal-fock", "coherent-fock", "gaussian-cv", "thermal-cv"],
+    )
+    def test_save_state_writes_the_top_state(self, tmp_path, family, options, build):
+        out_file = tmp_path / "inf.json"
+        state_file = tmp_path / "state.json"
+        argv = ["infdim", "--family", family, *options, "--wigner-steps", "41",
+                "--output", str(out_file), "--save-state", str(state_file)]
+        assert main(argv) == 0
+        top_state = build()
+        if isinstance(top_state, qc.CvState):
+            doc, p_inf = jsonio.cv_state_to_dict(top_state), qc.p_inf_cv
+        else:
+            doc, p_inf = jsonio.oam_state_to_dict(top_state), lambda s: qc.p_inf_oam(s)[0]
+        text = state_file.read_text()
+        assert text == jsonio.dumps(doc)
+        saved = jsonio.infdim_state_from_dict(json.loads(text))
+        assert type(saved) is type(top_state)
+        route = json.loads(out_file.read_text())["routes"][top_state.representation]
+        assert p_inf(saved) == route
+
+    @pytest.mark.parametrize(
         "family,constructor,route,size_of",
         [
             ("thermal-cv", "thermal_cv", "position", lambda args: args[0].d),
@@ -423,6 +464,17 @@ class TestRandom:
         assert main(["random", "--dim", "3", "--kind", "rank_k", "--rank", "9",
                      "--seed", "0"]) == 2
         assert "rank" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind,dim,rank", [("haar_pure", 5, None), ("ginibre_mixed", 7, None), ("rank_k", 6, 2)]
+    )
+    def test_output_is_the_density_document(self, tmp_path, kind, dim, rank):
+        state_file = tmp_path / "state.json"
+        argv = ["random", "--dim", str(dim), "--kind", kind, "--seed", "11",
+                "--output", str(state_file)]
+        assert main(argv + (["--rank", str(rank)] if rank else [])) == 0
+        rho = qc.random_state(dim, kind, 11, rank)
+        assert state_file.read_text() == jsonio.dumps(jsonio.density_to_dict(rho))
 
     def test_negative_seed_exit_2(self, capsys):
         assert main(["random", "--dim", "2", "--seed", "-1"]) == 2

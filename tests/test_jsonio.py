@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,127 @@ class TestEncoderOracle:
     )
     def test_random_payloads(self, payload):
         assert jsonio.dumps(payload) == reference_dumps(payload)
+
+
+def _dedups(matrix) -> bool:
+    """Whether ``dumps_state`` formats each distinct 64-bit pattern once (at
+    most half of the floats' patterns distinct) rather than in place."""
+    floats = np.ascontiguousarray(matrix, dtype=complex).view(np.float64)
+    return 2 * jsonio._distinct_sorted(floats.view(np.uint64)).size <= floats.size
+
+
+def _unchecked_density(matrix) -> qc.DensityMatrix:
+    """A density container around any matrix, built without validation so
+    the writer sees exactly these entries."""
+    return qc.DensityMatrix(len(matrix), np.asarray(matrix, dtype=complex))
+
+
+class TestDumpsState:
+    """``dumps_state`` against the reference encoder on each kind's document."""
+
+    @staticmethod
+    def _document_and_matrix(state) -> tuple[dict, np.ndarray]:
+        if isinstance(state, qc.DensityMatrix):
+            return jsonio.density_to_dict(state), state.entries
+        if isinstance(state, qc.CvState):
+            return jsonio.cv_state_to_dict(state), state.matrix
+        return jsonio.oam_state_to_dict(state), state.coefficients
+
+    @pytest.mark.parametrize(
+        "build,dedups",
+        [
+            (lambda: qc.thermal_cv(qc.build_cv_grid(64, 16.0), 1.0), True),
+            (lambda: qc.gaussian_cv(qc.build_cv_grid(160, 16.0), 0.3, x0=1.5, p0=-2.0), True),
+            (
+                lambda: qc.convert_representation(qc.thermal_cv(qc.build_cv_grid(64, 16.0), 1.0)),
+                False,
+            ),
+            (lambda: qc.gaussian_cv(qc.build_cv_grid(32, 4.0, 0.7), 0.6, x0=0.3, p0=-0.8), False),
+            (lambda: qc.oam_mode_superposition({-2: 1.0, 1: 0.5j, 2: -0.3}, 3), True),
+            (lambda: qc.geometric_oam(0.5, 10), True),
+            (lambda: qc.thermal_fock(1.0, 12), True),
+            (lambda: qc.coherent_fock(1.0 + 0.5j, 12), False),
+            (lambda: qc.random_state(4, "ginibre_mixed", 9), False),
+            (lambda: qc.validate_density(np.diag([0.5, 0.3, 0.2])), True),
+        ],
+        ids=[
+            "thermal-cv", "displaced-gaussian-cv", "momentum", "gaussian-cv-in-place", "oam",
+            "geometric-oam", "thermal-fock", "coherent-fock", "density", "diagonal-density",
+        ],
+    )
+    def test_states_of_every_kind(self, build, dedups):
+        state = build()
+        doc, matrix = self._document_and_matrix(state)
+        assert _dedups(matrix) == dedups
+        assert jsonio.dumps_state(state) == reference_dumps(doc)
+
+    @pytest.mark.parametrize(
+        "parts,rows,dedups",
+        [
+            # signed zeros and subnormals: eight patterns in eight floats
+            ([0.0, -0.0, 5e-324, -5e-324, 1 / 3, -1 / 3, 0.1, 1e300], 2, False),
+            # the same, each pattern four times
+            ([0.0, -0.0, 5e-324, -5e-324, 1 / 3, -1 / 3, 0.1, 1e300] * 4, 4, True),
+            # exactly half of the patterns distinct
+            ([0.0, -0.0, 5e-324, -5e-324, 0.25, -0.25, 1 / 7, 2.0] * 2, 2, True),
+            # one more than half distinct
+            ([0.0, -0.0, 5e-324, -5e-324, 0.25, -0.25, 1 / 7, 2.0] * 2 + [3.0, 4.0], 3, False),
+            # one value everywhere but one negative zero
+            ([0.5] * 31 + [-0.0], 4, True),
+        ],
+        ids=["distinct", "repeated", "half", "over-half", "one-value"],
+    )
+    def test_hand_built_matrices(self, parts, rows, dedups):
+        order = np.random.default_rng(len(parts)).permutation(len(parts))
+        matrix = np.array(parts, dtype=float)[order].view(complex).reshape(rows, -1)
+        assert _dedups(matrix) == dedups
+        state = _unchecked_density(matrix)
+        expected = reference_dumps({"dim": rows, "matrix": _reference_matrix_lists(matrix)})
+        assert jsonio.dumps_state(state) == expected
+        assert reference_dumps(jsonio.density_to_dict(state)) == expected
+
+    @settings(max_examples=200)
+    @given(_matrices())
+    def test_matrices_of_every_shape(self, matrix):
+        state = _unchecked_density(matrix)
+        assert jsonio.dumps_state(state) == reference_dumps(jsonio.density_to_dict(state))
+
+    @pytest.mark.parametrize("repeating", [True, False])
+    def test_matrices_spanning_blocks(self, repeating):
+        rng = np.random.default_rng(7)
+        shape = (2 * (jsonio._BLOCK_FLOATS // 128) + 5, 64)
+        matrix = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if repeating:
+            matrix = np.round(matrix, 1)
+        matrix[0, 0], matrix[-1, -1] = complex(-0.0, 5e-324), complex(1e300, -0.0)
+        assert _dedups(matrix) == repeating
+        state = _unchecked_density(matrix)
+        assert jsonio.dumps_state(state) == reference_dumps(jsonio.density_to_dict(state))
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_matrix_rejected(self, bad):
+        matrix = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        matrix[1, 2] = complex(0.0, bad)
+        expected = f"cannot serialise non-finite value {float(bad)}"
+        with pytest.raises(qc.InvalidParameterError, match=f"^{re.escape(expected)}$"):
+            jsonio.dumps_state(_unchecked_density(matrix))
+
+    def test_unsupported_object_raises_type_error(self):
+        with pytest.raises(TypeError):
+            jsonio.dumps_state(np.eye(2) / 2)
+
+    def test_memory_below_half_of_the_document_route(self):
+        # the infdim benchmark's thermal-cv state, 513 x 513
+        state = qc.thermal_cv(qc.build_cv_grid(256, 16.0), 1.0)
+        peaks = []
+        for write in (jsonio.dumps_state, lambda s: jsonio.dumps(jsonio.cv_state_to_dict(s))):
+            tracemalloc.start()
+            try:
+                write(state)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1] / 2
 
 
 class TestMatrixCodec:
