@@ -243,9 +243,9 @@ class TestEncoderOracle:
 
 def _dedups(matrix) -> bool:
     """Whether ``dumps_state`` formats each distinct 64-bit pattern once (at
-    most half of the floats' patterns distinct) rather than in place."""
+    most a third of the floats' patterns distinct) rather than in place."""
     floats = np.ascontiguousarray(matrix, dtype=complex).view(np.float64)
-    return 2 * jsonio._distinct_sorted(floats.view(np.uint64)).size <= floats.size
+    return 3 * jsonio._distinct_sorted(floats.view(np.uint64)).size <= floats.size
 
 
 def _unchecked_density(matrix) -> qc.DensityMatrix:
@@ -301,13 +301,15 @@ class TestDumpsState:
             # the same, each pattern four times
             ([0.0, -0.0, 5e-324, -5e-324, 1 / 3, -1 / 3, 0.1, 1e300] * 4, 4, True),
             # exactly half of the patterns distinct
-            ([0.0, -0.0, 5e-324, -5e-324, 0.25, -0.25, 1 / 7, 2.0] * 2, 2, True),
-            # one more than half distinct
-            ([0.0, -0.0, 5e-324, -5e-324, 0.25, -0.25, 1 / 7, 2.0] * 2 + [3.0, 4.0], 3, False),
+            ([0.0, -0.0, 5e-324, -5e-324, 0.25, -0.25, 1 / 7, 2.0] * 2, 2, False),
+            # exactly a third of the patterns distinct
+            ([0.0, -0.0, 5e-324, -5e-324, 0.25, -0.25, 1 / 7, 2.0] * 3, 3, True),
+            # one pattern more than a third distinct
+            ([0.0, -0.0, 5e-324, -5e-324, 0.25, -0.25, 1 / 7, 2.0] * 3 + [3.0, 0.25], 13, False),
             # one value everywhere but one negative zero
             ([0.5] * 31 + [-0.0], 4, True),
         ],
-        ids=["distinct", "repeated", "half", "over-half", "one-value"],
+        ids=["distinct", "repeated", "half", "third", "over-third", "one-value"],
     )
     def test_hand_built_matrices(self, parts, rows, dedups):
         order = np.random.default_rng(len(parts)).permutation(len(parts))
