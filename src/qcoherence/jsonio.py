@@ -2,10 +2,10 @@
 
 The JSON writer emits floats at 17 significant digits (value-preserving for
 doubles) through a hand-rolled encoder, so identical inputs always produce
-byte-identical files; a finite matrix from ``matrix_to_lists`` is written
-through a ``%.17g`` template with the same bytes, and ``dumps_state``
-writes a state file with those bytes straight from the state's array,
-formatting each distinct float once when at most a third are distinct.
+byte-identical files.  ``dumps_state`` writes a state file with the same
+bytes straight from the state's array, formatting each distinct float once
+when at most a third are distinct; each state kind's fields are described
+once, in ``_state_parts``, which ``state_to_dict`` shares.
 Complex numbers are [re, im] pairs; matrices are row-major nested lists.
 TSV output rounds to 12 significant digits for human consumption.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -34,12 +33,6 @@ def format_float(value: float, digits: int = JSON_DIGITS) -> str:
     return f"{value:.{digits}g}"
 
 
-class _FiniteMatrix(list):
-    """Rows of [re, im] float pairs converted from a non-empty matrix whose
-    entries were all finite; ``_encode`` formats it with one ``%`` call per
-    block of rows instead of one call per float."""
-
-
 # Rows are formatted in blocks of about this many floats.  One template for
 # a whole 513x513 lattice state raised the infdim benchmark's peak RSS by 7%
 # over the recursive encoder, blocks of this size by 2-4%.
@@ -55,7 +48,7 @@ def _matrix_pieces(n_rows: int, n_cols: int, cell: str, values) -> list[str]:
     rows at a time; ``values(start, stop)`` returns the flat tuple of values
     for rows ``start:stop``."""
     row = "[" + ", ".join([cell] * n_cols) + "]"
-    step = max(1, _BLOCK_FLOATS // (2 * n_cols))
+    step = min(max(1, _BLOCK_FLOATS // (2 * n_cols)), n_rows)
     template = ", ".join([row] * step)
     pieces = ["["]
     for start in range(0, n_rows, step):
@@ -65,17 +58,6 @@ def _matrix_pieces(n_rows: int, n_cols: int, cell: str, values) -> list[str]:
         pieces += (template % values(start, stop), ", ")
     pieces[-1] = "]"
     return pieces
-
-
-def _format_matrix(rows: _FiniteMatrix) -> str:
-    return "".join(
-        _matrix_pieces(
-            len(rows),
-            len(rows[0]),
-            _FLOAT_CELL,
-            lambda start, stop: tuple(chain.from_iterable(chain.from_iterable(rows[start:stop]))),
-        )
-    )
 
 
 def _distinct_sorted(values: np.ndarray) -> np.ndarray:
@@ -102,12 +84,11 @@ def _array_pieces(matrix: np.ndarray) -> list[str]:
     # Measured on 513x513 matrices (2 cores, numpy 2.4): the routes cost the
     # same at 30-35% distinct patterns.  At 4% (the thermal lattice state)
     # dedup takes 0.10 s against 0.21 s in place; at 91-100% (a momentum
-    # form, random entries) 0.84-0.91 s against 0.35-0.48 s, slower than
-    # dumps(<kind>_to_dict(...)) at 0.48-0.68 s.  No benchmark workload
-    # writes a state above a third; the in-place route runs for the CLI's
-    # random and coherent-Fock states, for some displaced gaussian-cv states
-    # (34% at d=256, x0=0.5, p0=-0.5, where the routes tie) and for library
-    # callers.
+    # form, random entries) 0.84-0.91 s against 0.35-0.48 s.  No benchmark
+    # workload writes a state above a third; the in-place route runs for the
+    # CLI's random and coherent-Fock states, for some displaced gaussian-cv
+    # states (34% at d=256, x0=0.5, p0=-0.5, where the routes tie) and for
+    # library callers.
     if 3 * patterns.size > bits.size:
         return _matrix_pieces(
             *m.shape, _FLOAT_CELL, lambda start, stop: tuple(floats[start:stop].ravel().tolist())
@@ -121,13 +102,7 @@ def _array_pieces(matrix: np.ndarray) -> list[str]:
 
 
 def _encode(obj) -> str:
-    if type(obj) is _FiniteMatrix:
-        text = _format_matrix(obj)
-        # only "nan" and "inf" contain an n: an entry set to one of them
-        # after the conversion takes the generic path below, which rejects it
-        if "n" not in text:
-            return text
-    # floats next: the commonest leaf of every other document
+    # floats first: the commonest leaf
     if isinstance(obj, (float, np.floating)):
         return format_float(float(obj))
     if isinstance(obj, (list, tuple)):
@@ -150,13 +125,9 @@ def dumps(obj) -> str:
 
 
 def matrix_to_lists(matrix: np.ndarray) -> list[list[list[float]]]:
-    """Row-major nested lists of [re, im] pairs.  A non-empty finite matrix
-    comes back as a ``list`` subclass that ``dumps`` formats from a template."""
+    """Row-major nested lists of [re, im] pairs."""
     m = np.asarray(matrix, dtype=complex)
-    rows = np.stack((m.real, m.imag), -1).tolist()
-    if m.ndim == 2 and m.size and np.isfinite(m).all():
-        return _FiniteMatrix(rows)
-    return rows
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def matrix_from_lists(rows) -> np.ndarray:
@@ -191,18 +162,49 @@ def matrix_from_lists(rows) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# finite-dimensional states
+# state files
 
 
-def _density_parts(rho: DensityMatrix) -> tuple[dict, np.ndarray]:
-    """A density file's fields before the matrix, and the matrix; each
-    kind's ``_*_parts`` is shared by its ``*_to_dict`` and ``dumps_state``."""
-    return {"dim": rho.dim}, rho.entries
+def _state_parts(state) -> tuple[dict, np.ndarray]:
+    """A state file's fields before the matrix, and the matrix; shared by
+    ``state_to_dict`` and ``dumps_state``."""
+    if isinstance(state, DensityMatrix):
+        return {"dim": state.dim}, state.entries
+    if isinstance(state, (OamState, FockState)):
+        fields = {
+            "representation": state.representation,
+            "cutoff": state.cutoff,
+            "tail_bound": state.declared_tail_bound,
+        }
+        return fields, state.coefficients
+    if isinstance(state, CvState):
+        grid = {"d": state.grid.d, "p_max": state.grid.p_max, "hbar": state.grid.hbar}
+        return {"representation": state.representation, "grid": grid}, state.matrix
+    raise TypeError(f"cannot serialise object of type {type(state)!r} as a state file")
 
 
-def density_to_dict(rho: DensityMatrix) -> dict:
-    fields, matrix = _density_parts(rho)
+def state_to_dict(state: DensityMatrix | OamState | FockState | CvState) -> dict:
+    """The state file document of any state kind; also bound as
+    ``density_to_dict``, ``oam_state_to_dict``, ``fock_state_to_dict`` and
+    ``cv_state_to_dict``."""
+    fields, matrix = _state_parts(state)
     return {**fields, "matrix": matrix_to_lists(matrix)}
+
+
+density_to_dict = oam_state_to_dict = fock_state_to_dict = cv_state_to_dict = state_to_dict
+
+
+def dumps_state(state: DensityMatrix | OamState | FockState | CvState) -> str:
+    """The state file of ``state``, byte-identical to ``dumps(state_to_dict(
+    state))`` but written straight from the state's array, without the
+    nested lists."""
+    fields, matrix = _state_parts(state)
+    # the matrix is the last field of every state document
+    return "".join([_encode(fields)[:-1], ', "matrix": ', *_array_pieces(matrix), "}\n"])
+
+
+# ---------------------------------------------------------------------------
+# finite-dimensional states
 
 
 def density_from_dict(payload, tol: float = DEFAULT_TOLERANCE) -> DensityMatrix:
@@ -254,53 +256,6 @@ def maximization_to_dict(result: MaximizationResult) -> dict:
 
 # ---------------------------------------------------------------------------
 # discretised infinite-dimensional states
-
-
-def _truncated_parts(state: OamState | FockState) -> tuple[dict, np.ndarray]:
-    return (
-        {
-            "representation": state.representation,
-            "cutoff": state.cutoff,
-            "tail_bound": state.declared_tail_bound,
-        },
-        state.coefficients,
-    )
-
-
-def oam_state_to_dict(state: OamState | FockState) -> dict:
-    """Either truncated state, tagged with its representation; also bound
-    as ``fock_state_to_dict``."""
-    fields, matrix = _truncated_parts(state)
-    return {**fields, "matrix": matrix_to_lists(matrix)}
-
-
-fock_state_to_dict = oam_state_to_dict
-
-
-def _cv_parts(state: CvState) -> tuple[dict, np.ndarray]:
-    grid = {"d": state.grid.d, "p_max": state.grid.p_max, "hbar": state.grid.hbar}
-    return {"representation": state.representation, "grid": grid}, state.matrix
-
-
-def cv_state_to_dict(state: CvState) -> dict:
-    fields, matrix = _cv_parts(state)
-    return {**fields, "matrix": matrix_to_lists(matrix)}
-
-
-def dumps_state(state: DensityMatrix | OamState | FockState | CvState) -> str:
-    """The state file of ``state``, byte-identical to ``dumps`` of its
-    ``*_to_dict`` document but written straight from the state's array,
-    without the nested lists."""
-    if isinstance(state, DensityMatrix):
-        fields, matrix = _density_parts(state)
-    elif isinstance(state, (OamState, FockState)):
-        fields, matrix = _truncated_parts(state)
-    elif isinstance(state, CvState):
-        fields, matrix = _cv_parts(state)
-    else:
-        raise TypeError(f"cannot serialise object of type {type(state)!r} as a state file")
-    # the matrix is the last field of every state document
-    return "".join([_encode(fields)[:-1], ', "matrix": ', *_array_pieces(matrix), "}\n"])
 
 
 def _file_integer(value, name: str) -> int:

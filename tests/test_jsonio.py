@@ -82,6 +82,14 @@ def _matrices(draw):
     return matrix
 
 
+# Shapes at the boundaries of the row blocks ``dumps_state`` formats.
+_BLOCK_SHAPES = [
+    (3, jsonio._BLOCK_FLOATS // 2 + 1),  # one row per block
+    (2, jsonio._BLOCK_FLOATS // 2),  # one full-width row per block
+    (2 * (jsonio._BLOCK_FLOATS // 128) + 5, 64),  # two full blocks and a short one
+]
+
+
 class TestFloatFormatting:
     def test_seventeen_digit_round_trip(self):
         for value in (0.1, 1 / 3, np.sqrt(0.07), 1e-300, 123456.789):
@@ -152,14 +160,7 @@ class TestEncoderOracle:
         assert lists == reference
         assert jsonio.dumps(lists) == reference_dumps(reference)
 
-    @pytest.mark.parametrize(
-        "rows,cols",
-        [
-            (3, jsonio._BLOCK_FLOATS // 2 + 1),  # one row per block
-            (2, jsonio._BLOCK_FLOATS // 2),  # one full-width row per block
-            (2 * (jsonio._BLOCK_FLOATS // 128) + 5, 64),  # two full blocks and a short one
-        ],
-    )
+    @pytest.mark.parametrize("rows,cols", _BLOCK_SHAPES)
     def test_matrices_spanning_blocks(self, rows, cols):
         rng = np.random.default_rng(rows * cols)
         matrix = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
@@ -187,6 +188,10 @@ class TestEncoderOracle:
         lists = jsonio.matrix_to_lists(np.eye(2, dtype=complex) / 2)
         lists[0][1][0] += 1e-3
         assert jsonio.dumps(lists) == reference_dumps(lists)
+        for value, text in ((True, "true"), ("x", '"x"'), (10**400, str(10**400))):
+            lists[1][1][0] = value
+            assert jsonio.dumps(lists) == reference_dumps(lists)
+            assert f"[{text}, 0]" in jsonio.dumps(lists)
         lists[1][0][1] = float("inf")
         with pytest.raises(qc.InvalidParameterError, match="^cannot serialise non-finite value inf$"):
             jsonio.dumps(lists)
@@ -257,14 +262,6 @@ def _unchecked_density(matrix) -> qc.DensityMatrix:
 class TestDumpsState:
     """``dumps_state`` against the reference encoder on each kind's document."""
 
-    @staticmethod
-    def _document_and_matrix(state) -> tuple[dict, np.ndarray]:
-        if isinstance(state, qc.DensityMatrix):
-            return jsonio.density_to_dict(state), state.entries
-        if isinstance(state, qc.CvState):
-            return jsonio.cv_state_to_dict(state), state.matrix
-        return jsonio.oam_state_to_dict(state), state.coefficients
-
     @pytest.mark.parametrize(
         "build,dedups",
         [
@@ -289,8 +286,8 @@ class TestDumpsState:
     )
     def test_states_of_every_kind(self, build, dedups):
         state = build()
-        doc, matrix = self._document_and_matrix(state)
-        assert _dedups(matrix) == dedups
+        doc = jsonio.state_to_dict(state)
+        assert _dedups(jsonio.matrix_from_lists(doc["matrix"])) == dedups
         assert jsonio.dumps_state(state) == reference_dumps(doc)
 
     @pytest.mark.parametrize(
@@ -308,8 +305,15 @@ class TestDumpsState:
             ([0.0, -0.0, 5e-324, -5e-324, 0.25, -0.25, 1 / 7, 2.0] * 3 + [3.0, 0.25], 13, False),
             # one value everywhere but one negative zero
             ([0.5] * 31 + [-0.0], 4, True),
+            # 1x1, where dedup cannot run: two floats hold at least one pattern
+            ([-0.0, 5e-324], 1, False),
+            # 2x2 with two patterns
+            ([0.5, -0.0] * 4, 2, True),
         ],
-        ids=["distinct", "repeated", "half", "third", "over-third", "one-value"],
+        ids=[
+            "distinct", "repeated", "half", "third", "over-third", "one-value",
+            "one-by-one", "two-by-two-repeated",
+        ],
     )
     def test_hand_built_matrices(self, parts, rows, dedups):
         order = np.random.default_rng(len(parts)).permutation(len(parts))
@@ -329,14 +333,14 @@ class TestDumpsState:
     @pytest.mark.parametrize("repeating", [True, False])
     def test_matrices_spanning_blocks(self, repeating):
         rng = np.random.default_rng(7)
-        shape = (2 * (jsonio._BLOCK_FLOATS // 128) + 5, 64)
-        matrix = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        if repeating:
-            matrix = np.round(matrix, 1)
-        matrix[0, 0], matrix[-1, -1] = complex(-0.0, 5e-324), complex(1e300, -0.0)
-        assert _dedups(matrix) == repeating
-        state = _unchecked_density(matrix)
-        assert jsonio.dumps_state(state) == reference_dumps(jsonio.density_to_dict(state))
+        for shape in _BLOCK_SHAPES:
+            matrix = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            if repeating:
+                matrix = np.round(matrix, 1)
+            matrix[0, 0], matrix[-1, -1] = complex(-0.0, 5e-324), complex(1e300, -0.0)
+            assert _dedups(matrix) == repeating
+            state = _unchecked_density(matrix)
+            assert jsonio.dumps_state(state) == reference_dumps(jsonio.density_to_dict(state))
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
     def test_non_finite_matrix_rejected(self, bad):
@@ -347,21 +351,21 @@ class TestDumpsState:
             jsonio.dumps_state(_unchecked_density(matrix))
 
     def test_unsupported_object_raises_type_error(self):
-        with pytest.raises(TypeError):
-            jsonio.dumps_state(np.eye(2) / 2)
+        for write in (jsonio.dumps_state, jsonio.state_to_dict):
+            with pytest.raises(TypeError, match="as a state file$"):
+                write(np.eye(2) / 2)
 
-    def test_memory_below_half_of_the_document_route(self):
-        # the infdim benchmark's thermal-cv state, 513 x 513
+    def test_memory_below_three_times_the_text(self):
+        # the infdim benchmark's thermal-cv state, 513 x 513; the peak
+        # includes the 4.7 MB text itself
         state = qc.thermal_cv(qc.build_cv_grid(256, 16.0), 1.0)
-        peaks = []
-        for write in (jsonio.dumps_state, lambda s: jsonio.dumps(jsonio.cv_state_to_dict(s))):
-            tracemalloc.start()
-            try:
-                write(state)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] < peaks[1] / 2
+        tracemalloc.start()
+        try:
+            text = jsonio.dumps_state(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(text)
 
 
 class TestMatrixCodec:
