@@ -62,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--save-state", dest="save_state")
     inf.add_argument("--grid-d", type=int, default=64)
     inf.add_argument("--p-max", type=float, default=8.0)
-    inf.add_argument("--grid-m", type=int, default=512)
+    inf.add_argument("--grid-m", type=int, help="angle grid size for geometric-oam "
+                     "(default: max(512, 2(2D+1)), which resolves the band)")
     inf.add_argument("--hbar", type=float, default=1.0)
     inf.add_argument("--q", type=float, default=0.5)
     inf.add_argument("--nbar", type=float, default=1.0)
@@ -154,9 +155,10 @@ def _infdim_payload(args) -> tuple[dict, object]:
         value, error_bound = infdim.p_inf_oam(top_state)
         routes = {top_state.representation: value}
         if family == "geometric-oam":
-            routes["angle"] = infdim.p_inf_angle(
-                infdim.oam_to_angle(top_state, args.grid_m)
-            )
+            grid_m = args.grid_m if args.grid_m is not None else max(512, 2 * (2 * cutoff + 1))
+            # the truncated state's samples integrate to its coefficient trace
+            trace = float(top_state.coefficients.trace().real)
+            routes["angle"] = infdim.p_inf_angle(infdim.oam_to_angle(top_state, grid_m), trace)
         payload["routes"] = routes
         payload["error_bound"] = error_bound
         for rung in _ladder_rungs(cutoff):

@@ -57,7 +57,9 @@ def _validated_block(matrix, size: int, label: str, trace_tol=None, trace_hint="
     at -1e-10.
 
     Positivity is certified by a Cholesky factorisation of the Hermitian
-    part shifted by 1e-10 / 2.  Cholesky is backward stable, so a success
+    part shifted by 1e-10 / 2, or of its real part when the imaginary part
+    is negligible (:func:`_shifted_cholesky_succeeds` gives the bound that
+    makes the two equivalent).  Cholesky is backward stable, so a success
     bounds the minimum eigenvalue below by -5e-11 less a rounding term
     near n * eps * ||H||, well inside -1e-10: it accepts only states that
     ``eigvalsh`` accepts.  When the factorisation fails, ``eigvalsh``
@@ -84,14 +86,28 @@ def _validated_block(matrix, size: int, label: str, trace_tol=None, trace_hint="
 
 
 def _shifted_cholesky_succeeds(doubled: np.ndarray) -> bool:
-    """Whether H + (1e-10 / 2) I has a Cholesky factor, for H = doubled / 2.
+    """Whether a Cholesky factor certifies H + (1e-10 / 2) I positive, for
+    H = doubled / 2.
+
+    Write H = A + iB with A real symmetric and B real antisymmetric.  By
+    Weyl's inequality, lambda_min(H) >= lambda_min(A) - ||B||_2 >=
+    lambda_min(A) - ||B||_F.  So when beta = ||B||_F < 1e-10 / 4, a factor
+    of the real A + (1e-10 / 2 - beta) I bounds lambda_min(H) below by the
+    same -1e-10 / 2, less rounding, as a factor of the complex
+    H + (1e-10 / 2) I, at about half the cost; otherwise the complex
+    matrix is factored.
 
     ``doubled`` is a scratch array, overwritten in place; held only by this
     call, it is freed before the caller makes its read-only copy."""
-    doubled /= 2.0
-    doubled[np.diag_indices(len(doubled))] += _PSD_TOL / 2.0
+    doubled *= 0.5
+    beta = float(np.linalg.norm(doubled.imag))
+    if beta < _PSD_TOL / 4.0:
+        shifted, shift = doubled.real, _PSD_TOL / 2.0 - beta
+    else:
+        shifted, shift = doubled, _PSD_TOL / 2.0
+    shifted[np.diag_indices(len(shifted))] += shift
     try:
-        np.linalg.cholesky(doubled)
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -309,15 +325,19 @@ def oam_to_angle(state: OamState, grid_size: int) -> AngularCoherence:
     return AngularCoherence(grid_size, samples)
 
 
-def p_inf_angle(w: AngularCoherence) -> float:
+def p_inf_angle(w: AngularCoherence, trace: float = 1.0) -> float:
     """Uniform-grid quadrature of the double angle integral of |W|^2,
-    square-rooted; rejects samples whose trace quadrature misses 1 by more
-    than 1e-6."""
+    square-rooted; rejects samples whose trace quadrature misses ``trace``
+    by more than 1e-6.  A truncated state's samples integrate to its
+    coefficient trace, 1 less its discarded mass, and the quadrature
+    reproduces that trace exactly once the grid resolves the band."""
     m = w.grid_size
     weight = 2.0 * np.pi / m
-    trace = weight * float(np.sum(w.samples.diagonal().real))
-    if abs(trace - 1.0) > _ANGLE_NORM_TOL:
-        raise NotNormalizedError(f"trace quadrature {trace:.8f} misses 1 beyond {_ANGLE_NORM_TOL}")
+    quadrature = weight * float(np.sum(w.samples.diagonal().real))
+    if abs(quadrature - trace) > _ANGLE_NORM_TOL:
+        raise NotNormalizedError(
+            f"trace quadrature {quadrature:.8f} misses {trace:.8g} beyond {_ANGLE_NORM_TOL}"
+        )
     return math.sqrt(weight * weight * float(np.sum(np.abs(w.samples) ** 2)))
 
 
@@ -417,10 +437,16 @@ def wigner_from_cv(
     pick up interpolation ripple at the 1e-4 level, so callers chasing
     accuracy should window the output to the state's support.
 
-    All rows are evaluated at once, without a loop over x: one bilinear
-    gather of the kernel on an (x_steps, 4D+1) grid of y offsets, masked to
-    the lattice, times one shared exp(-2i y p / hbar) matrix.  Transient
-    memory is O(x_steps * (4D+1)).
+    All rows are evaluated at once, without a loop over x, over the
+    non-negative lags y = k dy, k in [0, 2D], in real arithmetic.  At lag
+    -k the bilinear indices and weights are those at +k with the two axes
+    swapped, so the real part of the sum over all 4D+1 lags is the sum over
+    k >= 0 for the Hermitian part H = (G + G^H) / 2 of the kernel, with the
+    k > 0 terms doubled; for a Hermitian state H is G bit for bit.  One
+    bilinear gather of H reaches only the (row, lag) pairs that stay on the
+    lattice, and two real products with shared cos(2yp/hbar) and
+    sin(2yp/hbar) matrices finish the sum.  Transient memory is
+    O(x_steps * (2D+1)).
     """
     if state.representation != "position":
         raise GridMismatchError("phase-space sampling needs the position representation")
@@ -441,30 +467,41 @@ def wigner_from_cv(
     xs = np.linspace(-x_span, x_span, x_steps)
     ps = np.linspace(-p_span, p_span, p_steps)
     dy = grid.dx / 2.0
-    # one y axis shared by all rows, k in [-2D, 2D]; row a keeps the
-    # |k| <= k_max(x_a) that stays on the lattice (the span check above
+    # one y axis shared by all rows, k in [0, 2D]; row a keeps the
+    # k <= k_max(x_a) that stays on the lattice (the span check above
     # bounds |x_a| by x_max, so every row reaches k = 0)
-    k = np.arange(-2 * grid.d, 2 * grid.d + 1)
+    k = np.arange(2 * grid.d + 1)
     y = k * dy
     k_max = np.floor((x_max - np.abs(xs)) / dy + 1e-12)
-    inside = np.abs(k)[None, :] <= k_max[:, None]
-    frac_fwd = (xs[:, None] + y[None, :] + x_max) / grid.dx
-    frac_bwd = (xs[:, None] - y[None, :] + x_max) / grid.dx
+    rows, lags = np.nonzero(k[None, :] <= k_max[:, None])
+    frac_fwd = (xs[rows] + y[lags] + x_max) / grid.dx
+    frac_bwd = (xs[rows] - y[lags] + x_max) / grid.dx
     i_fwd = np.clip(np.floor(frac_fwd).astype(int), 0, n - 2)
     i_bwd = np.clip(np.floor(frac_bwd).astype(int), 0, n - 2)
     w_fwd = np.clip(frac_fwd - i_fwd, 0.0, 1.0)
     w_bwd = np.clip(frac_bwd - i_bwd, 0.0, 1.0)
-    kernel = state.matrix / grid.dx
-    g = (
-        kernel[i_fwd, i_bwd] * (1.0 - w_fwd) * (1.0 - w_bwd)
-        + kernel[i_fwd + 1, i_bwd] * w_fwd * (1.0 - w_bwd)
-        + kernel[i_fwd, i_bwd + 1] * (1.0 - w_fwd) * w_bwd
-        + kernel[i_fwd + 1, i_bwd + 1] * w_fwd * w_bwd
+    # H = (G + G^H) / 2 for the kernel G = matrix / dx.  Doubling then
+    # halving is exact, so H is G bit for bit for a Hermitian matrix; the
+    # float pairs are divided, which rounds as a complex division by a real
+    # does at a fraction of its cost.
+    herm = state.matrix + state.matrix.conj().T
+    pairs = herm.view(float)
+    pairs /= 2.0 * grid.dx
+    herm = herm.ravel()
+    flat = i_fwd * n + i_bwd
+    g = np.zeros((x_steps, k.size), dtype=complex)
+    g[rows, lags] = (
+        herm[flat] * (1.0 - w_fwd) * (1.0 - w_bwd)
+        + herm[flat + n] * w_fwd * (1.0 - w_bwd)
+        + herm[flat + 1] * (1.0 - w_fwd) * w_bwd
+        + herm[flat + n + 1] * w_fwd * w_bwd
     )
-    g[~inside] = 0.0
-    oscillations = np.exp(-2j * np.outer(y, ps) / hbar)
-    values = (g @ oscillations).real * dy / (np.pi * hbar)
-    return WignerSamples(xs, ps, values)
+    # each lag k > 0 stands for both +k and -k; doubling a row of the
+    # oscillation matrices is exact and cheaper than doubling g
+    theta = 2.0 * np.outer(y, ps) / hbar
+    paired = np.where(k > 0, 2.0, 1.0)[:, None]
+    values = g.real @ (paired * np.cos(theta)) + g.imag @ (paired * np.sin(theta))
+    return WignerSamples(xs, ps, values * dy / (np.pi * hbar))
 
 
 def p_inf_wigner(w: WignerSamples, hbar: float) -> float:

@@ -250,6 +250,25 @@ class TestInfdim:
         assert abs(result["routes"]["oam"] - result["routes"]["angle"]) <= 1e-4
         assert abs(result["routes"]["oam"] - np.sqrt(1 / 3)) < 1e-6
 
+    @pytest.mark.parametrize(
+        "options",
+        (
+            ["--grid-d", "16"],
+            ["--q", "0.9", "--grid-d", "64"],
+            ["--q", "0.99", "--grid-d", "64"],
+            ["--grid-d", "128"],
+        ),
+        ids=["d16", "q0.9-d64", "q0.99-d64", "d128"],
+    )
+    def test_geometric_oam_truncated_states(self, tmp_path, capsys, options):
+        """The angle route holds the quadrature to the truncated state's
+        trace, not to 1, and the default angle grid resolves any band."""
+        out_file = tmp_path / "inf.json"
+        argv = ["infdim", "--family", "geometric-oam", *options, "--output", str(out_file)]
+        assert main(argv) == 0, capsys.readouterr().err
+        routes = json.loads(out_file.read_text())["routes"]
+        assert abs(routes["oam"] - routes["angle"]) <= 1e-12
+
     def test_gaussian_cv_ladder(self, tmp_path):
         out_file = tmp_path / "inf.json"
         assert (

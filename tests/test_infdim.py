@@ -92,6 +92,15 @@ class TestAngleRoute:
         angle_value = qc.p_inf_angle(qc.oam_to_angle(state, 512))
         assert abs(oam_value - angle_value) < 1e-4
 
+    def test_truncated_state_trace(self):
+        # the samples integrate to the coefficient trace 1 - 0.99^65, not 1
+        state = qc.geometric_oam(0.99, 64)
+        w = qc.oam_to_angle(state, 260)
+        trace = float(state.coefficients.trace().real)
+        with pytest.raises(qc.NotNormalizedError):
+            qc.p_inf_angle(w)
+        assert abs(qc.p_inf_angle(w, trace) - qc.p_inf_oam(state)[0]) <= 1e-12
+
     def test_constant_samples(self):
         m = 16
         flat = qc.AngularCoherence(m, np.full((m, m), 1 / (2 * np.pi), dtype=complex))
@@ -414,6 +423,22 @@ class TestLatticeOracles:
         assert np.array_equal(w.x, xs) and np.array_equal(w.p, ps)
         assert np.max(np.abs(w.values - values)) <= 1e-12
 
+    @pytest.mark.parametrize("d", ORACLE_DS)
+    @pytest.mark.parametrize("hbar", ORACLE_HBARS)
+    def test_wigner_matches_row_oracle_off_hermitian(self, d, hbar):
+        """A matrix just inside the Hermiticity gate: an anti-Hermitian part
+        of modulus 4e-13 in every off-diagonal entry.  The row oracle sums
+        every lag of the kernel itself; the library sums the non-negative
+        lags of its Hermitian part, which has the same real sum."""
+        grid = qc.build_cv_grid(d, 0.9 * np.sqrt(d) + 0.3, hbar)
+        rng = np.random.default_rng(700 + d)
+        upper = np.triu(np.exp(2j * np.pi * rng.random((grid.size, grid.size))), 1)
+        matrix = _random_lattice_matrix(d, 100 + d) + 4e-13 * (upper - upper.conj().T)
+        state = qc.CvState(grid, "position", matrix)
+        w = qc.wigner_from_cv(state, 33, 32)
+        _, _, values = _wigner_rows_oracle(state, 33, 32)
+        assert np.max(np.abs(w.values - values)) <= 1e-12
+
     def test_wigner_matches_row_oracle_on_physical_states(self):
         grid = qc.build_cv_grid(256, 40.0)
         for state, span in ((qc.thermal_cv(grid, 1.0), 12.0),
@@ -537,12 +562,23 @@ MIN_EIGENVALUES = (
 )
 
 
-def _state_with_spectrum(spectrum, seed):
+def _state_with_spectrum(spectrum, seed, imaginary=None):
+    """A state U diag(spectrum) U^H with Haar-like unitary U; with
+    ``imaginary`` given, U is real orthogonal and i B is added, B real
+    antisymmetric with Frobenius norm ``imaginary`` (0 for a real state;
+    a 1 x 1 state stays real)."""
     rng = np.random.default_rng(seed)
     size = len(spectrum)
-    g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    g = rng.normal(size=(size, size))
+    if imaginary is None:
+        g = g + 1j * rng.normal(size=(size, size))
     u, _ = np.linalg.qr(g)
-    return (u * spectrum) @ u.conj().T
+    mat = (u * spectrum) @ u.conj().T
+    if imaginary and size > 1:
+        s = rng.normal(size=(size, size))
+        b = s - s.T
+        mat = mat + 1j * imaginary / np.linalg.norm(b) * b
+    return mat
 
 
 def _spectra(size, seed):
@@ -565,6 +601,32 @@ def _spectra(size, seed):
         yield spectrum
 
 
+def _sweep_positivity_gate(eigvalsh_calls, cholesky_dtypes, container, size, imaginary=None):
+    """Build states whose smallest eigenvalue sweeps MIN_EIGENVALUES: the
+    decision and message are eigvalsh's, eigvalsh is consulted below -6e-11
+    and not above -3e-11, and the real part is factored exactly when the
+    imaginary part's Frobenius norm is below 2.5e-11."""
+    label, build = PSD_CONTAINERS[container]
+    for k, spectrum in enumerate(_spectra(size, 300 + size)):
+        mat = _state_with_spectrum(spectrum, 1000 * size + k, imaginary)
+        oracle = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0])
+        eigvalsh_calls.clear()
+        cholesky_dtypes.clear()
+        if oracle < -1e-10:
+            with pytest.raises(qc.NotPSDError) as info:
+                build(mat)
+            assert str(info.value) == f"{label}: minimum eigenvalue {oracle:.3e}"
+        else:
+            build(mat)
+        low = spectrum[0]
+        if low <= -6e-11:
+            assert eigvalsh_calls, f"eigvalsh not consulted at {low:.2e}"
+        elif low >= -3e-11:
+            assert not eigvalsh_calls, f"eigvalsh consulted at {low:.2e}"
+        beta = np.linalg.norm(((mat + mat.conj().T) / 2.0).imag)
+        assert cholesky_dtypes == [np.float64 if beta < 2.5e-11 else np.complex128]
+
+
 class TestPositivityGate:
     """The Cholesky certificate accepts only what eigvalsh accepts, and
     every rejection carries eigvalsh's minimum eigenvalue in its message."""
@@ -582,26 +644,33 @@ class TestPositivityGate:
         monkeypatch.setattr(infdim, "_eigvalsh", counted)
         return calls
 
-    @pytest.mark.parametrize(("container", "size"), PSD_CASES)
-    def test_decision_matches_eigvalsh(self, eigvalsh_calls, container, size):
-        label, build = PSD_CONTAINERS[container]
-        for k, spectrum in enumerate(_spectra(size, 300 + size)):
-            mat = _state_with_spectrum(spectrum, 1000 * size + k)
-            oracle = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0])
-            eigvalsh_calls.clear()
-            if oracle < -1e-10:
-                with pytest.raises(qc.NotPSDError) as info:
-                    build(mat)
-                assert str(info.value) == f"{label}: minimum eigenvalue {oracle:.3e}"
-            else:
-                build(mat)
-            low = spectrum[0]
-            if low <= -6e-11:
-                assert eigvalsh_calls, f"eigvalsh not consulted at {low:.2e}"
-            elif low >= -3e-11:
-                assert not eigvalsh_calls, f"eigvalsh consulted at {low:.2e}"
+    @pytest.fixture
+    def cholesky_dtypes(self, monkeypatch):
+        """Dtypes of the matrices the gate factors, in call order."""
+        dtypes = []
+        real = np.linalg.cholesky
 
-    def test_benchmark_families_take_the_fast_path(self, monkeypatch):
+        def recorded(mat):
+            dtypes.append(mat.dtype)
+            return real(mat)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recorded)
+        return dtypes
+
+    @pytest.mark.parametrize(("container", "size"), PSD_CASES)
+    def test_decision_matches_eigvalsh(self, eigvalsh_calls, cholesky_dtypes, container, size):
+        _sweep_positivity_gate(eigvalsh_calls, cholesky_dtypes, container, size)
+
+    # real orthogonal states plus an imaginary part of this Frobenius norm,
+    # on either side of the real-part certificate's 2.5e-11 threshold
+    @pytest.mark.parametrize("imaginary", (0.0, 1e-13, 3e-11))
+    @pytest.mark.parametrize(("container", "size"), PSD_CASES)
+    def test_decision_matches_eigvalsh_on_real_states(
+        self, eigvalsh_calls, cholesky_dtypes, container, size, imaginary
+    ):
+        _sweep_positivity_gate(eigvalsh_calls, cholesky_dtypes, container, size, imaginary)
+
+    def test_benchmark_families_take_the_fast_path(self, monkeypatch, cholesky_dtypes):
         def refuse(mat):
             raise AssertionError("eigvalsh called on a positive state")
 
@@ -610,6 +679,8 @@ class TestPositivityGate:
             grid = qc.build_cv_grid(d, 2.0 * np.sqrt(d))
             for state in (qc.thermal_cv(grid, 1.0), qc.gaussian_cv(grid, np.sqrt(0.5))):
                 qc.convert_representation(state)
+        # position and momentum forms alike: real, or imaginary at rounding level
+        assert cholesky_dtypes == [np.float64] * 8
         qc.thermal_fock(1.0, 80)
         qc.coherent_fock(complex(np.cos(0.3), np.sin(0.3)), 80)
         qc.geometric_oam(0.5, 60)
