@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInvariantViolation, InvalidParameterError
+from .errors import InvalidParameterError, enforce
 from .measures import _mu_sums, _spread, _squared_deviation, p_n, visibility_f
 from .state import (
     DensityMatrix,
@@ -247,13 +247,11 @@ def _greedy_search(
     evaluations = 0
     iterations = 0
     trace: list[tuple[int, float]] = []
+    ceiling_name = f"{target}: evaluated value"
+    ceiling_limit = ceiling + _CEILING_TOL
 
     def checked(value: float) -> float:
-        if value > ceiling + _CEILING_TOL:
-            raise InternalInvariantViolation(
-                f"{target}: evaluated value {value:.15f} exceeds analytic "
-                f"ceiling {ceiling:.15f} beyond {_CEILING_TOL:.0e}"
-            )
+        enforce(ceiling_name, value, ceiling_limit)
         return value
 
     def rescored(u: np.ndarray) -> tuple[float, list]:
@@ -310,11 +308,9 @@ def _greedy_search(
             counted()
 
     assert best_u is not None
-    defect = unitarity_defect(best_u)
-    if defect > UNITARITY_TOL:
-        raise InternalInvariantViolation(
-            f"{target}: best basis misses unitarity by {defect:.3e} beyond {UNITARITY_TOL:.0e}"
-        )
+    enforce(
+        f"{target}: unitarity defect of the best basis", unitarity_defect(best_u), UNITARITY_TOL
+    )
     if not trace or trace[-1][0] != evaluations:
         trace.append((evaluations, best))
     return MaximizationResult(

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionTooSmallError, InternalInvariantViolation, WrongDimensionError
+from .errors import DimensionTooSmallError, WrongDimensionError, enforce
 from .state import DEFAULT_TOLERANCE, DensityMatrix, _readonly, validate_density
 
 _IMAG_RESIDUE_TOL = 1e-12
@@ -89,11 +89,8 @@ def gellmann_basis(dim: int) -> GellMannBasis:
     return GellMannBasis(dim, symmetric, antisymmetric, diagonal)
 
 
-def _real_component(z: complex, label: str) -> float:
-    if abs(z.imag) > _IMAG_RESIDUE_TOL:
-        raise InternalInvariantViolation(
-            f"component {label} has imaginary residue {z.imag:.3e}"
-        )
+def _real_component(z: complex, residue_name: str) -> float:
+    enforce(residue_name, abs(z.imag), _IMAG_RESIDUE_TOL)
     return float(z.real)
 
 
@@ -113,8 +110,8 @@ def to_bloch(rho: DensityMatrix) -> BlochVector:
         for k in range(j + 1, n + 1):
             a = m[j - 1, k - 1]
             b = m[k - 1, j - 1]
-            u[(j, k)] = _real_component(off_coeff * (a + b), f"u_{j}{k}")
-            v[(j, k)] = _real_component(1j * off_coeff * (a - b), f"v_{j}{k}")
+            u[(j, k)] = _real_component(off_coeff * (a + b), f"u_{j}{k} imaginary residue")
+            v[(j, k)] = _real_component(1j * off_coeff * (a - b), f"v_{j}{k} imaginary residue")
     w: dict[int, float] = {}
     diag = m.diagonal()
     for l in range(1, n):
@@ -123,7 +120,7 @@ def to_bloch(rho: DensityMatrix) -> BlochVector:
         acc = complex(0.0)
         for i in range(l):
             acc += diag[i] - diag[l]
-        w[l] = _real_component(coeff * acc, f"w_{l}")
+        w[l] = _real_component(coeff * acc, f"w_{l} imaginary residue")
     return BlochVector(n, u, v, w)
 
 

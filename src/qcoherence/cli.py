@@ -117,8 +117,6 @@ def cmd_report(args) -> int:
 
 
 def cmd_maximize(args) -> int:
-    if args.budget < 1:
-        raise InvalidParameterError("--budget must be >= 1")
     rho = _load_state_file(args.input, args.tol)
     search = basis_opt.maximize_mu if args.target == "mu" else basis_opt.maximize_visibility
     result = search(rho, args.budget, args.seed, trace_stride=args.trace_stride)
@@ -209,7 +207,7 @@ def _infdim_payload(args) -> tuple[dict, object]:
 def cmd_infdim(args) -> int:
     payload, top_state = _infdim_payload(args)
     _emit(_render(payload, args.format), args.output)
-    if getattr(args, "save_state", None):
+    if args.save_state:
         _emit(jsonio.dumps_state(top_state), args.save_state)
     return EXIT_OK
 
@@ -233,10 +231,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValidationError as exc:
+    except (OSError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (InternalInvariantViolation, EigenSolverFailure) as exc:

@@ -1,7 +1,12 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the one invariant gate.
 
 Validation errors signal a rejected input; the two runtime errors signal
-numerical failures that should never occur for valid inputs.
+numerical failures that should never occur for valid inputs.  Every
+quantity that the theory bounds (the agreement of the five routes, mu <= P,
+the pure-weight identity and bound, the search ceiling, unitarity, the
+commutator structure, the radicand and cap clamps, the Bloch residue) is
+checked through :func:`enforce`, so each violation raises
+InternalInvariantViolation with one message format, and the CLI exits 3.
 """
 
 
@@ -77,3 +82,14 @@ class EigenSolverFailure(CoherenceError, RuntimeError):
 class InternalInvariantViolation(CoherenceError, RuntimeError):
     """A quantity that the theory forces to hold failed beyond float noise;
     indicates a logic bug, not bad input."""
+
+
+def enforce(name: str, value: float, limit: float) -> None:
+    """Raise InternalInvariantViolation unless ``value <= limit``.
+
+    ``name`` says what ``value`` measures, and opens the message
+    "<name> <value> is not <= <limit>".  A NaN value fails every gate.
+    """
+    if value <= limit:
+        return
+    raise InternalInvariantViolation(f"{name} {float(value)!r} is not <= {float(limit)!r}")

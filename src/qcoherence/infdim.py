@@ -32,11 +32,11 @@ from .errors import (
     EmptyStateError,
     GridMismatchError,
     GridTooCoarseError,
-    InternalInvariantViolation,
     InvalidParameterError,
     NotHermitianError,
     NotNormalizedError,
     NotPSDError,
+    enforce,
 )
 from .state import _eigvalsh, _readonly, as_complex_matrix
 
@@ -396,14 +396,10 @@ def commutator_check(grid: CvGrid, probe: CvState) -> tuple[complex, float]:
     p = grid.momenta()
     momentum_op = _conjugate_matrix(np.diag(p).astype(complex), to_momentum=False)
     commutator = x[:, None] * momentum_op - momentum_op * x[None, :]
-    trace_mag = abs(complex(commutator.trace()))
-    if trace_mag > _COMMUTATOR_TOL:
-        raise InternalInvariantViolation(f"commutator trace {trace_mag:.3e} nonzero")
-    diag_mag = float(np.max(np.abs(commutator.diagonal())))
-    if diag_mag > _COMMUTATOR_TOL:
-        raise InternalInvariantViolation(
-            f"commutator diagonal max {diag_mag:.3e} nonzero"
-        )
+    enforce("commutator trace", abs(complex(commutator.trace())), _COMMUTATOR_TOL)
+    enforce(
+        "commutator diagonal max", float(np.max(np.abs(commutator.diagonal()))), _COMMUTATOR_TOL
+    )
     expectation = complex(np.sum(position_state.matrix.T * commutator))
     deviation = abs(expectation - 1j * grid.hbar)
     return expectation, deviation

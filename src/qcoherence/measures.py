@@ -25,9 +25,9 @@ from .bloch import bloch_norm, to_bloch
 from .errors import (
     AllZeroError,
     DegenerateDiagonalError,
-    InternalInvariantViolation,
     InvalidParameterError,
     WrongDimensionError,
+    enforce,
 )
 from .state import DensityMatrix, Spectrum, _readonly, purity, spectral_decompose
 
@@ -38,18 +38,12 @@ _IDENTITY_TOL = 1e-10
 
 
 def _clamped_sqrt(radicand: float, context: str, clamp: float = _CLAMP) -> float:
-    if radicand < -clamp:
-        raise InternalInvariantViolation(
-            f"{context}: radicand {radicand:.3e} below -{clamp:.0e}"
-        )
+    enforce(f"{context}: negated radicand", -radicand, clamp)
     return math.sqrt(max(radicand, 0.0))
 
 
 def _capped(value: float, context: str, cap_tol: float = _CLAMP) -> float:
-    if value > 1.0 + cap_tol:
-        raise InternalInvariantViolation(
-            f"{context}: value {value:.12f} exceeds 1 beyond {cap_tol:.0e}"
-        )
+    enforce(f"{context}: value", value, 1.0 + cap_tol)
     return min(value, 1.0)
 
 
@@ -272,11 +266,7 @@ def pure_part_bound_check(
     p_from_weights = _clamped_sqrt(
         weight_sum * weight_sum - (2.0 * n / (n - 1.0)) * cross, "pure_part_bound_check"
     )
-    if abs(p_from_weights - p) > _IDENTITY_TOL:
-        raise InternalInvariantViolation(
-            f"weight identity off by {abs(p_from_weights - p):.3e} "
-            f"(from weights {p_from_weights:.12f}, given {p:.12f})"
-        )
+    enforce("weight identity off by", abs(p_from_weights - p), _IDENTITY_TOL)
     gap = weight_sum - p
     bound_holds = p <= weight_sum + _IDENTITY_TOL
     return bound_holds, gap
@@ -304,27 +294,16 @@ def coherence_report(rho: DensityMatrix) -> CoherenceReport:
     }
     high = max(routes, key=routes.get)
     low = min(routes, key=routes.get)
-    spread = routes[high] - routes[low]
-    if spread > _REPORT_TOL:
-        raise InternalInvariantViolation(
-            f"routes {high}={routes[high]:.12f} and {low}={routes[low]:.12f} "
-            f"differ by {spread:.3e}"
-        )
+    enforce(f"route spread {high} - {low}", routes[high] - routes[low], _REPORT_TOL)
     try:
         mu = mu_n(rho)
     except DegenerateDiagonalError:
         mu = 0.0
-    if mu > routes["p_n"] + _REPORT_TOL:
-        raise InternalInvariantViolation(
-            f"basis-dependent value {mu:.12f} exceeds maximum {routes['p_n']:.12f}"
-        )
+    enforce("mu_n against p_n", mu, routes["p_n"] + _REPORT_TOL)
     decomposition = _pure_part(spectrum)
     weight_sum = float(np.sum(decomposition.weights))
     _, gap = pure_part_bound_check(decomposition, routes["p_n"])
-    if -gap > _REPORT_TOL:
-        raise InternalInvariantViolation(
-            f"measure {routes['p_n']:.12f} exceeds pure weight sum {weight_sum:.12f}"
-        )
+    enforce("p_n over pure weight sum", -gap, _REPORT_TOL)
     report = CoherenceReport(
         dim=rho.dim,
         p_n=routes["p_n"],
@@ -342,8 +321,8 @@ def coherence_report(rho: DensityMatrix) -> CoherenceReport:
         ("pure_part_weight_sum", weight_sum),
         *routes.items(),
     ):
-        if not (0.0 <= value <= 1.0 + _REPORT_TOL):
-            raise InternalInvariantViolation(f"field {name}={value} outside [0, 1]")
+        enforce(f"field {name}", value, 1.0 + _REPORT_TOL)
+        enforce(f"field {name} negated", -value, 0.0)
     return report
 
 

@@ -78,10 +78,11 @@ def validate_density(matrix, tol: float = DEFAULT_TOLERANCE) -> DensityMatrix:
     Eigenvalues in [-tol, 0) are clamped to zero and the matrix renormalised
     to unit trace.  Violations beyond ``tol`` raise the matching error:
     NotSquareError, DimensionTooSmallError, NotHermitianError,
-    NotUnitTraceError, NotPSDError.
+    NotUnitTraceError, NotPSDError.  ``tol`` must lie in [0, 1), so that a
+    trace within it of 1 is positive and the renormalisation keeps the sign.
     """
-    if not np.isfinite(tol) or tol < 0:
-        raise InvalidParameterError("tolerance must be a non-negative real")
+    if not 0.0 <= tol < 1.0:
+        raise InvalidParameterError(f"tolerance {tol!r} outside [0, 1)")
     arr = as_complex_matrix(matrix)
     rows, cols = arr.shape
     if rows != cols:

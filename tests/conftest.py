@@ -5,7 +5,13 @@ whatever the run's seed and whatever the local example database holds.
 package, for the tests that check that a report enforces it;
 ``broken_unitarity`` makes every accepted move of the basis search leave
 the unitary group, for the tests that check that a search enforces
-unitarity; ``decompositions`` records every call of ``spectral_decompose``."""
+unitarity; ``decompositions`` records every call of ``spectral_decompose``.
+``shifted_bloch``, ``mu_above_p``, ``negated_weights``, ``field_out_of_range``
+and ``lowered_ceiling`` each perturb one upstream quantity so that exactly
+one more invariant gate must fire (``tests/test_gates.py``)."""
+
+import dataclasses
+import math
 
 import pytest
 from hypothesis import settings
@@ -58,3 +64,70 @@ def decompositions(monkeypatch):
     for module in (state, measures, basis_opt):
         monkeypatch.setattr(module, "spectral_decompose", counted)
     return calls
+
+
+@pytest.fixture
+def shifted_bloch(monkeypatch):
+    """Move the report's largest Bloch component 1e-8 further from zero:
+    the Bloch-norm route then leaves the other four by more than 1e-9 at
+    small N, and every other route is untouched."""
+    shared = measures.to_bloch
+
+    def shifted(rho):
+        vec = shared(rho)
+        parts = {"u": dict(vec.u), "v": dict(vec.v), "w": dict(vec.w)}
+        part, key = max(
+            ((part, key) for part, values in parts.items() for key in values),
+            key=lambda pair: abs(parts[pair[0]][pair[1]]),
+        )
+        value = parts[part][key]
+        parts[part][key] = value + math.copysign(1e-8, value)
+        return dataclasses.replace(vec, **parts)
+
+    monkeypatch.setattr(measures, "to_bloch", shifted)
+
+
+@pytest.fixture
+def mu_above_p(monkeypatch):
+    """Make the report's basis-dependent value P_N + 1e-8, past mu <= P."""
+    shared = measures.p_n
+    monkeypatch.setattr(measures, "mu_n", lambda rho: shared(rho) + 1e-8)
+
+
+@pytest.fixture
+def negated_weights(monkeypatch):
+    """Negate every pure weight of the report's split.  The identity sees
+    only (sum s)^2 and the pair products, so it still holds; the gap
+    sum(s) - P becomes -2P at N=2, where the single weight is P."""
+    shared = measures._pure_part
+
+    def negated(spectrum):
+        split = shared(spectrum)
+        return measures.PurePartDecomposition(
+            -split.weights, split.pure_states, split.mixed_weight
+        )
+
+    monkeypatch.setattr(measures, "_pure_part", negated)
+
+
+@pytest.fixture(
+    params=[
+        ("purity", 1.1, "field purity "),
+        ("mu_n", -0.5, "field mu_in_given_basis negated "),
+    ],
+    ids=["purity-above-1", "mu-below-0"],
+)
+def field_out_of_range(request, monkeypatch):
+    """Make one reported field leave [0, 1] while every cross-check before
+    the range check still holds; returns the message prefix that names it."""
+    name, value, prefix = request.param
+    monkeypatch.setattr(measures, name, lambda rho: value)
+    return prefix
+
+
+@pytest.fixture
+def lowered_ceiling(monkeypatch):
+    """Lower the mu search's analytic ceiling by 1e-8: the analytic seed
+    reaches the true ceiling, so the first evaluation scores above it."""
+    shared = basis_opt.p_n
+    monkeypatch.setattr(basis_opt, "p_n", lambda rho: shared(rho) - 1e-8)

@@ -93,6 +93,10 @@ class TestFromBloch:
         with pytest.raises(qc.NotPSDError):
             qc.from_bloch(vec)
 
+    def test_tolerance_of_one(self):
+        with pytest.raises(qc.InvalidParameterError):
+            qc.from_bloch(qc.to_bloch(qc.validate_density(np.eye(2) / 2)), tol=1.0)
+
     def test_mismatched_components(self):
         bad = qc.BlochVector(3, {(1, 2): 0.0}, {(1, 2): 0.0}, {1: 0.0, 2: 0.0})
         with pytest.raises(qc.WrongDimensionError):

@@ -3,6 +3,7 @@ import io
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -528,6 +529,30 @@ class TestDeterminism:
             assert main(["infdim", "--family", "thermal-fock", "--nbar", "1.0",
                          "--grid-d", "40", "--output", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, matrix",
+    [
+        (["report", "--tol", "2"], [[-0.25, 0.0], [0.0, -0.25]]),
+        (["report", "--tol", "1.5"], [[0.0, 0.0], [0.0, 0.0]]),
+        (["maximize", "--tol", "1.5", "--budget", "50"], [[0.0, 0.0], [0.0, 0.0]]),
+    ],
+)
+def test_tolerance_of_one_or_more_exit_2(tmp_path, capsys, argv, matrix):
+    # at such a tolerance a trace of -0.5 or 0 passes the trace check
+    state_file = tmp_path / "state.json"
+    state_file.write_text(
+        json.dumps({"dim": 2, "matrix": [[[x, 0.0] for x in row] for row in matrix]})
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([argv[0], "--input", str(state_file), *argv[1:]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert caught == []
 
 
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")

@@ -42,6 +42,13 @@ class TestValidateDensity:
         with pytest.raises(qc.InvalidParameterError):
             qc.validate_density(np.eye(2) / 2, tol=-1.0)
 
+    @pytest.mark.parametrize("tol", [1.0, 1.5, 2.0, np.inf, np.nan])
+    def test_tolerance_of_one_or_more(self, tol):
+        # a trace within 1 of 1 may be zero or negative, and renormalising
+        # by it would flip the sign of the state or divide 0 by 0
+        with pytest.raises(qc.InvalidParameterError, match=r"outside \[0, 1\)"):
+            qc.validate_density(np.eye(2) / 2, tol)
+
     def test_small_negative_eigenvalue_clamped(self):
         eps = 1e-12
         rho = qc.validate_density(np.diag([1.0 + eps, -eps]))
