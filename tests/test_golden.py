@@ -1,17 +1,22 @@
-"""Golden outputs of the seeded commands of acceptance criterion 8.
+"""Golden outputs of the seeded commands of acceptance criterion 8 and of
+every ``infdim`` family.
 
-``tests/golden/`` holds the five outputs: the state written by ``random
---dim 4 --kind ginibre_mixed --seed 9``, its ``report`` and ``maximize``
-outputs, and the ``infdim`` outputs of the gaussian-cv ladder and of
-thermal-fock.  The state, the report and both infdim outputs are compared
-at 1e-12, so a silent numeric drift fails here even though two runs of
-the same code still agree byte for byte.  The search is compared by
-structure, because its path depends on the random stream and on the
-order of floating-point operations: keys, the evaluation count, the trace
-indices, the analytic value at 1e-12, the gap to it and the unitarity of
-the best basis.  Regenerate the files with
-``PYTHONPATH=src python tests/test_golden.py`` when an output is meant to
-change, and say why in the commit.
+``tests/golden/`` holds nine outputs: the state written by ``random --dim 4
+--kind ginibre_mixed --seed 9``, its ``report`` and ``maximize`` outputs,
+and the ``infdim`` outputs of all five families (the gaussian-cv ladder,
+the README's d=256 thermal-cv report without its state file,
+thermal-fock, geometric-oam and coherent-fock), plus thermal-fock as TSV.
+The state, the report and the JSON infdim outputs are compared at 1e-12,
+key order included, so a silent numeric drift or a reordered payload fails
+here even though two runs of the same code still agree byte for byte.  The
+TSV header must match exactly and its numbers within 1e-11, since TSV
+keeps 12 significant digits.  The search is compared by structure,
+because its path depends on the random stream and on the order of
+floating-point operations: keys, the evaluation count, the trace indices,
+the analytic value at 1e-12, the gap to it and the unitarity of the best
+basis.  Regenerate the files with ``PYTHONPATH=src python
+tests/test_golden.py`` when an output is meant to change, and say why in
+the commit.
 """
 
 import json
@@ -26,22 +31,30 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 BUDGET = 3000
 
 
+INFDIM = {
+    "infdim_gaussian_cv.json": ["--family", "gaussian-cv", "--grid-d", "128", "--p-max", "11.3"],
+    "infdim_thermal_cv.json": ["--family", "thermal-cv", "--nbar", "1.0", "--grid-d", "256",
+                               "--p-max", "16"],
+    "infdim_thermal_fock.json": ["--family", "thermal-fock", "--nbar", "1.0", "--grid-d", "40"],
+    "infdim_thermal_fock.tsv": ["--family", "thermal-fock", "--nbar", "1.0", "--grid-d", "40",
+                                "--format", "tsv"],
+    "infdim_geometric_oam.json": ["--family", "geometric-oam", "--q", "0.5", "--grid-d", "60",
+                                  "--grid-m", "512"],
+    "infdim_coherent_fock.json": ["--family", "coherent-fock", "--alpha-re", "1.0",
+                                  "--alpha-im", "0.5", "--grid-d", "40"],
+}
+
+
 def _run(root: Path) -> dict[str, Path]:
-    paths = {
-        name: root / f"{name}.json"
-        for name in ("random", "report", "maximize", "infdim_gaussian_cv", "infdim_thermal_fock")
-    }
-    state = str(paths["random"])
-    commands = (
+    paths = {name: root / name for name in ("random.json", "report.json", "maximize.json", *INFDIM)}
+    state = str(paths["random.json"])
+    commands = [
         ["random", "--dim", "4", "--kind", "ginibre_mixed", "--seed", "9", "--output", state],
-        ["report", "--input", state, "--output", str(paths["report"])],
+        ["report", "--input", state, "--output", str(paths["report.json"])],
         ["maximize", "--input", state, "--target", "visibility", "--budget", str(BUDGET),
-         "--seed", "5", "--output", str(paths["maximize"])],
-        ["infdim", "--family", "gaussian-cv", "--grid-d", "128", "--p-max", "11.3",
-         "--output", str(paths["infdim_gaussian_cv"])],
-        ["infdim", "--family", "thermal-fock", "--nbar", "1.0", "--grid-d", "40",
-         "--output", str(paths["infdim_thermal_fock"])],
-    )
+         "--seed", "5", "--output", str(paths["maximize.json"])],
+    ]
+    commands += [["infdim", *argv, "--output", str(paths[name])] for name, argv in INFDIM.items()]
     for argv in commands:
         assert main(argv) == 0, argv
     return paths
@@ -58,7 +71,7 @@ def _load(path: Path) -> dict:
 
 def _close(a, b, tol: float) -> None:
     if isinstance(a, dict):
-        assert sorted(a) == sorted(b)
+        assert list(a) == list(b)
         for key in a:
             _close(a[key], b[key], tol)
     elif isinstance(a, list):
@@ -78,20 +91,37 @@ def _keys(doc) -> object:
 
 
 def test_random_state_matches_golden(outputs):
-    _close(_load(outputs["random"]), _load(GOLDEN / "random.json"), 1e-12)
+    _close(_load(outputs["random.json"]), _load(GOLDEN / "random.json"), 1e-12)
 
 
 def test_report_matches_golden(outputs):
-    _close(_load(outputs["report"]), _load(GOLDEN / "report.json"), 1e-12)
+    _close(_load(outputs["report.json"]), _load(GOLDEN / "report.json"), 1e-12)
 
 
-@pytest.mark.parametrize("name", ["infdim_gaussian_cv", "infdim_thermal_fock"])
+@pytest.mark.parametrize("name", [name for name in INFDIM if name.endswith(".json")])
 def test_infdim_matches_golden(outputs, name):
-    _close(_load(outputs[name]), _load(GOLDEN / f"{name}.json"), 1e-12)
+    _close(_load(outputs[name]), _load(GOLDEN / name), 1e-12)
+
+
+def test_infdim_tsv_matches_golden(outputs):
+    header, row = outputs["infdim_thermal_fock.tsv"].read_text(encoding="utf-8").splitlines()
+    golden_header, golden_row = (GOLDEN / "infdim_thermal_fock.tsv").read_text(
+        encoding="utf-8"
+    ).splitlines()
+    assert header == golden_header
+    cells, golden_cells = row.split("\t"), golden_row.split("\t")
+    assert len(cells) == len(golden_cells)
+    for cell, golden in zip(cells, golden_cells):
+        try:
+            expected = float(golden)
+        except ValueError:
+            assert cell == golden
+        else:
+            assert abs(float(cell) - expected) <= 1e-11, (cell, golden)
 
 
 def test_maximize_matches_golden_structure(outputs):
-    search = _load(outputs["maximize"])
+    search = _load(outputs["maximize.json"])
     golden = _load(GOLDEN / "maximize.json")
     assert _keys(search) == _keys(golden)
     assert search["target"] == golden["target"]
