@@ -7,7 +7,7 @@ through every applicable route with a convergence ladder, ``random``
 generates reproducible state files.
 
 Exit codes: 0 success, 2 validation failure (bad file, bad parameters,
-unphysical state), 3 internal invariant violation.
+unphysical state, unallocatable size), 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .errors import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
-
-FAMILIES = ("geometric-oam", "thermal-fock", "coherent-fock", "gaussian-cv", "thermal-cv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     maximize.add_argument("--format", choices=("json", "tsv"), default="json")
 
     inf = sub.add_parser("infdim", help="coherence of a discretised state family")
-    inf.add_argument("--family", required=True, choices=FAMILIES)
+    inf.add_argument("--family", required=True, choices=tuple(infdim.FAMILIES))
     inf.add_argument("--output")
     inf.add_argument("--save-state", dest="save_state")
     inf.add_argument("--grid-d", type=int, default=64)
@@ -128,84 +126,51 @@ def _ladder_rungs(top: int) -> list[int]:
     return sorted({min(top, max(1, top // k)) for k in (4, 2, 1)})
 
 
-def _infdim_payload(args) -> tuple[dict, object]:
-    family = args.family
-    payload: dict = {"family": family, "hbar": args.hbar}
-    ladder: list[dict] = []
-
-    if family in ("geometric-oam", "thermal-fock", "coherent-fock"):
-        cutoff = args.grid_d
-        if family == "geometric-oam":
-            build = lambda d: infdim.geometric_oam(args.q, d)
-            payload["parameters"] = {"q": args.q, "cutoff": cutoff}
-        elif family == "thermal-fock":
-            build = lambda d: infdim.thermal_fock(args.nbar, d)
-            payload["parameters"] = {"nbar": args.nbar, "cutoff": cutoff}
-        else:
-            alpha = complex(args.alpha_re, args.alpha_im)
-            build = lambda d: infdim.coherent_fock(alpha, d)
-            payload["parameters"] = {
-                "alpha_re": alpha.real,
-                "alpha_im": alpha.imag,
-                "cutoff": cutoff,
-            }
-        top_state = build(cutoff)
+def cmd_infdim(args) -> int:
+    family = infdim.FAMILIES[args.family]
+    top = args.grid_d
+    # the grid validates hbar before gaussian-cv's default sigma_x reads it
+    grid = infdim.build_cv_grid(top, args.p_max, args.hbar) if family.lattice else None
+    record = family.parameters(args)
+    payload: dict = {"family": args.family, "hbar": args.hbar, "parameters": record}
+    top_state = family.build(record, top if grid is None else grid)
+    if grid is not None:
+        payload["grid"] = {"d": grid.d, "p_max": grid.p_max, "hbar": grid.hbar}
+        steps = args.wigner_steps
+        payload["routes"] = {
+            "position": infdim.p_inf_cv(top_state),
+            "momentum": infdim.p_inf_cv(infdim.convert_representation(top_state)),
+            "wigner": infdim.p_inf_wigner(infdim.wigner_from_cv(top_state, steps, steps), grid.hbar),
+        }
+    else:
         value, error_bound = infdim.p_inf_oam(top_state)
-        routes = {top_state.representation: value}
-        if family == "geometric-oam":
-            grid_m = args.grid_m if args.grid_m is not None else max(512, 2 * (2 * cutoff + 1))
+        routes = payload["routes"] = {top_state.representation: value}
+        if isinstance(top_state, infdim.OamState):
+            grid_m = args.grid_m if args.grid_m is not None else max(512, 2 * (2 * top + 1))
             # the truncated state's samples integrate to its coefficient trace
             trace = float(top_state.coefficients.trace().real)
             routes["angle"] = infdim.p_inf_angle(infdim.oam_to_angle(top_state, grid_m), trace)
-        payload["routes"] = routes
         payload["error_bound"] = error_bound
-        for rung in _ladder_rungs(cutoff):
-            # the top rung is the state already evaluated above
-            rung_value = value if rung == cutoff else infdim.p_inf_oam(build(rung))[0]
-            ladder.append({"d": rung, "value": rung_value})
-    else:
-        grid = infdim.build_cv_grid(args.grid_d, args.p_max, args.hbar)
-        if family == "gaussian-cv":
-            sigma = args.sigma_x if args.sigma_x is not None else math.sqrt(args.hbar / 2.0)
-            build = lambda g: infdim.gaussian_cv(g, sigma, args.x0, args.p0)
-            payload["parameters"] = {"sigma_x": sigma, "x0": args.x0, "p0": args.p0}
-        else:
-            build = lambda g: infdim.thermal_cv(g, args.nbar)
-            payload["parameters"] = {"nbar": args.nbar}
-        payload["grid"] = {"d": grid.d, "p_max": grid.p_max, "hbar": grid.hbar}
-        top_state = build(grid)
-        position_value = infdim.p_inf_cv(top_state)
-        momentum_value = infdim.p_inf_cv(infdim.convert_representation(top_state))
-        wigner = infdim.wigner_from_cv(top_state, args.wigner_steps, args.wigner_steps)
-        payload["routes"] = {
-            "position": position_value,
-            "momentum": momentum_value,
-            "wigner": infdim.p_inf_wigner(wigner, grid.hbar),
-        }
-        for rung in _ladder_rungs(grid.d):
-            rung_p_max = grid.p_max * math.sqrt(rung / grid.d)
-            if rung == grid.d:
-                # same lattice as the top state: reuse its value
-                rung_value = position_value
-            else:
-                try:
-                    rung_value = infdim.p_inf_cv(
-                        build(infdim.build_cv_grid(rung, rung_p_max, grid.hbar))
-                    )
-                except ValidationError:
-                    # rung too coarse to resolve the state; report the hole
-                    # rather than fail the whole run
-                    rung_value = None
-            ladder.append({"d": rung, "p_max": rung_p_max, "value": rung_value})
 
-    payload["ladder"] = ladder
+    ladder = payload["ladder"] = []
+    for d in _ladder_rungs(top):
+        rung = {"d": d} if grid is None else {"d": d, "p_max": grid.p_max * math.sqrt(d / top)}
+        if d == top:
+            # the top rung is the state already evaluated above
+            rung["value"] = payload["routes"][top_state.representation]
+        elif grid is None:
+            rung["value"] = infdim.p_inf_oam(family.build(record, d))[0]
+        else:
+            try:
+                rung_grid = infdim.build_cv_grid(d, rung["p_max"], grid.hbar)
+                rung["value"] = infdim.p_inf_cv(family.build(record, rung_grid))
+            except ValidationError:
+                # rung too coarse to resolve the state; report the hole
+                # rather than fail the whole run
+                rung["value"] = None
+        ladder.append(rung)
     resolved = [rung["value"] for rung in ladder if rung["value"] is not None]
     payload["differences"] = [b - a for a, b in zip(resolved, resolved[1:])]
-    return payload, top_state
-
-
-def cmd_infdim(args) -> int:
-    payload, top_state = _infdim_payload(args)
     _emit(_render(payload, args.format), args.output)
     if args.save_state:
         _emit(jsonio.dumps_state(top_state), args.save_state)
@@ -231,7 +196,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValidationError) as exc:
+    except (OSError, MemoryError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (InternalInvariantViolation, EigenSolverFailure) as exc:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import Any, Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -590,7 +590,10 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockState:
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise InvalidParameterError("alpha must be a finite complex number")
-    mean = abs(alpha) ** 2
+    try:
+        mean = abs(alpha) ** 2
+    except OverflowError:
+        raise InvalidParameterError("|alpha|^2 must be a finite real") from None
     amps = np.zeros(cutoff + 1, dtype=complex)
     amps[0] = math.exp(-mean / 2.0)
     for n in range(1, cutoff + 1):
@@ -629,3 +632,37 @@ def thermal_cv(grid: CvGrid, nbar: float) -> CvState:
         * np.exp(-((fwd + bwd) ** 2) / (4.0 * hbar * s) - s * (fwd - bwd) ** 2 / (4.0 * hbar))
     )
     return CvState(grid, "position", kernel.astype(complex) * grid.dx)
+
+
+# ---------------------------------------------------------------------------
+# the families of the infdim command
+
+
+class Family(NamedTuple):
+    """``parameters(options)`` reads the record written under "parameters"
+    from the ``infdim`` command's options; ``build(record, support)`` makes
+    the state over a band cutoff, or over a :class:`CvGrid` for a lattice
+    family.  The lambdas below find the constructors among this module's
+    globals at call time, so one replaced on the module is called."""
+
+    parameters: Callable[[Any], dict]
+    build: Callable[[dict, Any], OamState | FockState | CvState]
+    lattice: bool = False
+
+
+FAMILIES = {
+    "geometric-oam": Family(lambda o: {"q": o.q, "cutoff": o.grid_d},
+                            lambda r, cutoff: geometric_oam(r["q"], cutoff)),
+    "thermal-fock": Family(lambda o: {"nbar": o.nbar, "cutoff": o.grid_d},
+                           lambda r, cutoff: thermal_fock(r["nbar"], cutoff)),
+    "coherent-fock": Family(
+        lambda o: {"alpha_re": o.alpha_re, "alpha_im": o.alpha_im, "cutoff": o.grid_d},
+        lambda r, cutoff: coherent_fock(complex(r["alpha_re"], r["alpha_im"]), cutoff),
+    ),
+    "gaussian-cv": Family(  # sigma_x defaults to the vacuum width sqrt(hbar / 2)
+        lambda o: {"sigma_x": math.sqrt(o.hbar / 2.0) if o.sigma_x is None else o.sigma_x,
+                   "x0": o.x0, "p0": o.p0},
+        lambda r, grid: gaussian_cv(grid, r["sigma_x"], r["x0"], r["p0"]), lattice=True),
+    "thermal-cv": Family(lambda o: {"nbar": o.nbar},
+                         lambda r, grid: thermal_cv(grid, r["nbar"]), lattice=True),
+}

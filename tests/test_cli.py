@@ -411,13 +411,34 @@ class TestInfdim:
             ["--family", "gaussian-cv", "--x0", "nan"],
             ["--family", "gaussian-cv", "--p0", "inf"],
             ["--family", "coherent-fock", "--alpha-im", "inf"],
+            # finite, but |alpha|^2 overflows a float
+            ["--family", "coherent-fock", "--alpha-re", "1e200"],
         ],
     )
     def test_non_finite_parameters_exit_2(self, argv, capsys):
         assert main(["infdim", *argv]) == 2
         err = capsys.readouterr().err
+        assert err.startswith("error: ")
         assert "finite" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["random", "--dim", "100000000", "--kind", "ginibre_mixed", "--seed", "1"],
+        ["infdim", "--family", "geometric-oam", "--grid-d", "100000000"],
+    ],
+    ids=["random", "infdim"],
+)
+def test_unallocatable_size_exit_2(argv, capsys):
+    # each command's first allocation is its whole matrix, petabytes, so it
+    # fails at once; haar_pure and the other families would first allocate
+    # O(d) vectors of hundreds of megabytes
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 class TestRepeatedCalls:

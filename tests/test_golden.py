@@ -29,8 +29,6 @@ from qcoherence.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BUDGET = 3000
-
-
 INFDIM = {
     "infdim_gaussian_cv.json": ["--family", "gaussian-cv", "--grid-d", "128", "--p-max", "11.3"],
     "infdim_thermal_cv.json": ["--family", "thermal-cv", "--nbar", "1.0", "--grid-d", "256",
@@ -98,7 +96,11 @@ def test_report_matches_golden(outputs):
     _close(_load(outputs["report.json"]), _load(GOLDEN / "report.json"), 1e-12)
 
 
-@pytest.mark.parametrize("name", [name for name in INFDIM if name.endswith(".json")])
+@pytest.mark.parametrize(
+    "name",
+    [name for name in INFDIM if name.endswith(".json")],
+    ids=lambda name: name.removesuffix(".json"),
+)
 def test_infdim_matches_golden(outputs, name):
     _close(_load(outputs[name]), _load(GOLDEN / name), 1e-12)
 

@@ -538,6 +538,11 @@ class TestNonFiniteInput:
         with pytest.raises(qc.InvalidParameterError):
             qc.coherent_fock(complex(1.0, np.inf), 64)
 
+    @pytest.mark.parametrize("alpha", (1e200, complex(1e300, 1e300), complex(1.7e308, -1.7e308)))
+    def test_coherent_fock_rejects_alpha_whose_mean_overflows(self, alpha):
+        with pytest.raises(qc.InvalidParameterError, match="alpha"):
+            qc.coherent_fock(alpha, 12)
+
 
 # containers with a positivity gate, by band size; OAM and lattice bands are odd
 PSD_CONTAINERS = {
