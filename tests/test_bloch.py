@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qcoherence as qc
@@ -136,3 +138,36 @@ def test_basis_completeness(dim):
         for mat in mats:
             rebuilt += 0.5 * np.trace(rho.entries @ mat) * mat
         assert np.max(np.abs(rebuilt - rho.entries)) < 1e-10
+
+
+@st.composite
+def random_states(draw, max_dim):
+    n = draw(st.integers(2, max_dim))
+    kind = draw(st.sampled_from(("haar_pure", "ginibre_mixed", "rank_k")))
+    rank = draw(st.integers(1, n)) if kind == "rank_k" else None
+    return qc.random_state(n, kind, draw(st.integers(0, 2**32 - 1)), rank)
+
+
+class TestBlochProperties:
+    """The Bloch route at the sizes the array form is for, up to N=256."""
+
+    @settings(max_examples=30)
+    @given(st.integers(2, 256))
+    @example(256)
+    def test_maximally_mixed_maps_to_exact_zeros(self, n):
+        vec = qc.to_bloch(qc.validate_density(np.eye(n) / n))
+        assert not np.any(vec.components())
+        assert vec.components().size == n * n - 1
+
+    @settings(max_examples=30)
+    @given(random_states(256))
+    @example(qc.random_state(256, "ginibre_mixed", 1))
+    def test_norm_agrees_with_p_n(self, rho):
+        assert abs(qc.bloch_norm(qc.to_bloch(rho)) - qc.p_n(rho)) <= 1e-10
+
+    @settings(max_examples=25)
+    @given(random_states(32))
+    @example(qc.random_state(32, "ginibre_mixed", 1))
+    def test_round_trip(self, rho):
+        back = qc.from_bloch(qc.to_bloch(rho))
+        assert np.max(np.abs(back.entries - rho.entries)) <= 1e-12

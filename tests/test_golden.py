@@ -1,12 +1,14 @@
 """Golden outputs of the seeded commands of acceptance criterion 8 and of
 every ``infdim`` family.
 
-``tests/golden/`` holds nine outputs: the state written by ``random --dim 4
+``tests/golden/`` holds ten outputs: the state written by ``random --dim 4
 --kind ginibre_mixed --seed 9``, its ``report`` and ``maximize`` outputs,
-and the ``infdim`` outputs of all five families (the gaussian-cv ladder,
-the README's d=256 thermal-cv report without its state file,
-thermal-fock, geometric-oam and coherent-fock), plus thermal-fock as TSV.
-The state, the report and the JSON infdim outputs are compared at 1e-12,
+the ``report`` of ``random --dim 64 --kind ginibre_mixed --seed 3`` (the
+state itself is not kept), and the ``infdim`` outputs of all five families
+(the gaussian-cv ladder, the README's d=256 thermal-cv report without its
+state file, thermal-fock, geometric-oam and coherent-fock), plus
+thermal-fock as TSV.  The state, the reports and the JSON infdim outputs
+are compared at 1e-12,
 key order included, so a silent numeric drift or a reordered payload fails
 here even though two runs of the same code still agree byte for byte.  The
 TSV header must match exactly and its numbers within 1e-11, since TSV
@@ -44,11 +46,16 @@ INFDIM = {
 
 
 def _run(root: Path) -> dict[str, Path]:
-    paths = {name: root / name for name in ("random.json", "report.json", "maximize.json", *INFDIM)}
+    names = ("random.json", "report.json", "report_dim64.json", "maximize.json", *INFDIM)
+    paths = {name: root / name for name in names}
     state = str(paths["random.json"])
+    # the N=64 state is an input only, so it is not among the returned paths
+    state_64 = str(root / "random_dim64.json")
     commands = [
         ["random", "--dim", "4", "--kind", "ginibre_mixed", "--seed", "9", "--output", state],
         ["report", "--input", state, "--output", str(paths["report.json"])],
+        ["random", "--dim", "64", "--kind", "ginibre_mixed", "--seed", "3", "--output", state_64],
+        ["report", "--input", state_64, "--output", str(paths["report_dim64.json"])],
         ["maximize", "--input", state, "--target", "visibility", "--budget", str(BUDGET),
          "--seed", "5", "--output", str(paths["maximize.json"])],
     ]
@@ -94,6 +101,10 @@ def test_random_state_matches_golden(outputs):
 
 def test_report_matches_golden(outputs):
     _close(_load(outputs["report.json"]), _load(GOLDEN / "report.json"), 1e-12)
+
+
+def test_report_dim64_matches_golden(outputs):
+    _close(_load(outputs["report_dim64.json"]), _load(GOLDEN / "report_dim64.json"), 1e-12)
 
 
 @pytest.mark.parametrize(
