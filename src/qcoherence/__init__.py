@@ -9,7 +9,7 @@ from .basis_opt import (
     maximize_visibility,
     unitarity_defect,
 )
-from .bloch import BlochVector, GellMannBasis, bloch_norm, from_bloch, gellmann_basis, to_bloch
+from .bloch import BlochVector, bloch_norm, from_bloch, to_bloch
 from .errors import (
     AllZeroError,
     CoherenceError,

@@ -1,11 +1,12 @@
-"""Generalised Gell-Mann generators and Bloch-vector conversion.
+"""Bloch-vector conversion over the generalised Gell-Mann generators.
 
 The generator set for dimension N splits into symmetric pair matrices
 U_jk, antisymmetric pair matrices V_jk (1 <= j < k <= N) and diagonal
 matrices W_l (1 <= l <= N-1), all traceless Hermitian and mutually
 orthogonal with Tr(A B) = 2 delta_AB.  A state maps to the real
 coefficient vector of its expansion over these generators; the Euclidean
-norm of that vector is the basis-independent degree of coherence.
+norm of that vector is the basis-independent degree of coherence.  Both
+directions work on the matrix entries; no generator matrix is built.
 
 Components are stored keyed by their (j, k) or l index so the dimension is
 recoverable and ordering bugs are structural rather than silent; the
@@ -16,30 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionTooSmallError, WrongDimensionError, enforce
-from .state import DEFAULT_TOLERANCE, DensityMatrix, _readonly, validate_density
+from .state import DEFAULT_TOLERANCE, DensityMatrix, _pairs, validate_density
 
 _IMAG_RESIDUE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GellMannBasis:
-    """The N^2 - 1 generators, grouped and keyed by index."""
-
-    dim: int
-    symmetric: dict[tuple[int, int], np.ndarray]
-    antisymmetric: dict[tuple[int, int], np.ndarray]
-    diagonal: dict[int, np.ndarray]
-
-    def matrices(self):
-        """All generators in canonical flat order."""
-        yield from self.symmetric.values()
-        yield from self.antisymmetric.values()
-        yield from self.diagonal.values()
 
 
 @dataclass(frozen=True)
@@ -58,40 +42,19 @@ class BlochVector:
         )
 
 
-@lru_cache(maxsize=None)
-def gellmann_basis(dim: int) -> GellMannBasis:
-    """Build (and cache) the generator set for dimension ``dim``.
-
-    At dim=2 this reduces exactly to the Pauli matrices.
-    """
-    if dim < 2:
-        raise DimensionTooSmallError(f"dimension {dim} < 2")
-    symmetric: dict[tuple[int, int], np.ndarray] = {}
-    antisymmetric: dict[tuple[int, int], np.ndarray] = {}
-    for j in range(1, dim + 1):
-        for k in range(j + 1, dim + 1):
-            u = np.zeros((dim, dim), dtype=complex)
-            u[j - 1, k - 1] = 1.0
-            u[k - 1, j - 1] = 1.0
-            v = np.zeros((dim, dim), dtype=complex)
-            v[j - 1, k - 1] = -1.0j
-            v[k - 1, j - 1] = 1.0j
-            symmetric[(j, k)] = _readonly(u)
-            antisymmetric[(j, k)] = _readonly(v)
-    diagonal: dict[int, np.ndarray] = {}
-    for l in range(1, dim):
-        coeff = math.sqrt(2.0 / (l * (l + 1)))
-        w = np.zeros((dim, dim), dtype=complex)
-        for m in range(l):
-            w[m, m] = coeff
-        w[l, l] = -l * coeff
-        diagonal[l] = _readonly(w)
-    return GellMannBasis(dim, symmetric, antisymmetric, diagonal)
+def _pair_keys(n: int) -> list[tuple[int, int]]:
+    """The (j, k) keys of the pair components, 1-based, row-major."""
+    rows, cols = _pairs(n)
+    return list(zip((rows + 1).tolist(), (cols + 1).tolist()))
 
 
-def _real_component(z: complex, residue_name: str) -> float:
-    enforce(residue_name, abs(z.imag), _IMAG_RESIDUE_TOL)
-    return float(z.real)
+def _residue_name(rows: np.ndarray, cols: np.ndarray, index: int) -> str:
+    """Gate name of flat component ``index``: u pairs, v pairs, then w."""
+    count = rows.size
+    if index >= 2 * count:
+        return f"w_{index - 2 * count + 1} imaginary residue"
+    pair = index % count
+    return f"{'uv'[index // count]}_{rows[pair] + 1}{cols[pair] + 1} imaginary residue"
 
 
 def to_bloch(rho: DensityMatrix) -> BlochVector:
@@ -99,61 +62,67 @@ def to_bloch(rho: DensityMatrix) -> BlochVector:
 
     u_jk and v_jk read off the symmetrised and antisymmetrised off-diagonal
     entries, w_l the partial diagonal sums; all carry the dimension-dependent
-    normalisation that makes the vector norm land in [0, 1].
+    normalisation that makes the vector norm land in [0, 1].  One gate holds
+    the largest imaginary residue of any component to 1e-12, and names that
+    component.
     """
     n = rho.dim
     m = rho.entries
+    rows, cols = _pairs(n)
+    above, below = m[rows, cols], m[cols, rows]
     off_coeff = math.sqrt(n / (2.0 * (n - 1)))
-    u: dict[tuple[int, int], float] = {}
-    v: dict[tuple[int, int], float] = {}
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            a = m[j - 1, k - 1]
-            b = m[k - 1, j - 1]
-            u[(j, k)] = _real_component(off_coeff * (a + b), f"u_{j}{k} imaginary residue")
-            v[(j, k)] = _real_component(1j * off_coeff * (a - b), f"v_{j}{k} imaginary residue")
-    w: dict[int, float] = {}
-    diag = m.diagonal()
-    for l in range(1, n):
-        coeff = math.sqrt(n / (l * (l + 1.0) * (n - 1)))
-        # summed as per-term differences so the Bloch origin is exact
-        acc = complex(0.0)
-        for i in range(l):
-            acc += diag[i] - diag[l]
-        w[l] = _real_component(coeff * acc, f"w_{l} imaginary residue")
-    return BlochVector(n, u, v, w)
+    # w_l sums d_i - d_l over i < l, on diagonal entries shifted by the
+    # first, so equal entries give exact zeros and the Bloch origin is exact
+    shifted = m.diagonal() - m[0, 0]
+    ls = np.arange(1.0, n)
+    comps = np.concatenate((
+        off_coeff * (above + below),
+        1j * off_coeff * (above - below),
+        np.sqrt(n / (ls * (ls + 1.0) * (n - 1))) * (shifted[:-1].cumsum() - ls * shifted[1:]),
+    ))
+    residues = np.abs(comps.imag)
+    worst = int(residues.argmax())
+    enforce(_residue_name(rows, cols, worst), residues[worst], _IMAG_RESIDUE_TOL)
+    count = rows.size
+    values = comps.real.tolist()
+    keys = _pair_keys(n)
+    return BlochVector(
+        n,
+        dict(zip(keys, values[:count])),
+        dict(zip(keys, values[count : 2 * count])),
+        dict(zip(range(1, n), values[2 * count :])),
+    )
 
 
 def from_bloch(vec: BlochVector, tol: float = DEFAULT_TOLERANCE) -> DensityMatrix:
     """Reassemble a state from its coefficients and validate physicality.
 
-    The coefficient vector fixes Hermiticity and unit trace by construction,
-    but for dim > 2 the unit ball contains unphysical points, so the result
-    is eigenvalue-checked and NotPSDError raised when outside the physical
-    body.
+    rho = (I + K sum_G c_G G) / N with K = sqrt(N(N-1)/2), entry by entry:
+    K(u_jk -/+ i v_jk)/N above/below the diagonal, and (1 + K d_m)/N on it,
+    with the suffix sum d_m = sum_{l>m} c_l w_l - m c_m w_m and
+    c_l = sqrt(2 / (l (l+1))).  Hermiticity and unit trace hold by
+    construction, but for dim > 2 the unit ball contains unphysical points,
+    so the result is eigenvalue-checked (NotPSDError outside the body).
     """
     n = vec.dim
-    basis = gellmann_basis(n)
-    pair_count = n * (n - 1) // 2
-    if (
-        len(vec.u) != pair_count
-        or len(vec.v) != pair_count
-        or len(vec.w) != n - 1
-        or set(vec.u) != set(basis.symmetric)
-        or set(vec.v) != set(basis.antisymmetric)
-        or set(vec.w) != set(basis.diagonal)
-    ):
+    if n < 2:
+        raise DimensionTooSmallError(f"dimension {n} < 2")
+    keys = _pair_keys(n)
+    if set(vec.u) != set(keys) or set(vec.v) != set(keys) or set(vec.w) != set(range(1, n)):
         raise WrongDimensionError(
             f"component keys do not match dimension {n} (need {n * n - 1} components)"
         )
-    acc = np.zeros((n, n), dtype=complex)
-    for key, value in vec.u.items():
-        acc += value * basis.symmetric[key]
-    for key, value in vec.v.items():
-        acc += value * basis.antisymmetric[key]
-    for key, value in vec.w.items():
-        acc += value * basis.diagonal[key]
-    mat = (np.eye(n, dtype=complex) + math.sqrt(n * (n - 1) / 2.0) * acc) / n
+    u = np.fromiter(map(vec.u.__getitem__, keys), float)
+    v = np.fromiter(map(vec.v.__getitem__, keys), float)
+    ls = np.arange(1.0, n)
+    cw = np.sqrt(2.0 / (ls * (ls + 1.0))) * np.fromiter(map(vec.w.__getitem__, range(1, n)), float)
+    scale = math.sqrt(n * (n - 1) / 2.0)
+    diag = np.append(cw[::-1].cumsum()[::-1], 0.0)
+    diag[1:] -= ls * cw
+    mat = np.diag((1.0 + scale * diag) / n).astype(complex)
+    rows, cols = _pairs(n)
+    mat[rows, cols] = scale * (u - 1j * v) / n
+    mat[cols, rows] = scale * (u + 1j * v) / n
     return validate_density(mat, tol)
 
 

@@ -191,8 +191,15 @@ class CvGrid:
         if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
             raise InvalidParameterError("hbar must be a positive real")
         dp = self.p_max / self.d
+        dx = 2.0 * math.pi * self.hbar / ((2 * self.d + 1) * dp) if dp > 0.0 else math.inf
+        span = 2.0 * self.d * dx  # the largest |x - x'|, which the constructors square
+        if not (dx > 0.0 and math.isfinite(span * span)):
+            raise InvalidParameterError(
+                f"position spacing {dx:.3e} from p_max {self.p_max!r} and hbar {self.hbar!r} "
+                "underflows to 0, or (2 D dx)^2 overflows"
+            )
         object.__setattr__(self, "dp", dp)
-        object.__setattr__(self, "dx", 2.0 * math.pi * self.hbar / ((2 * self.d + 1) * dp))
+        object.__setattr__(self, "dx", dx)
 
     @property
     def size(self) -> int:
@@ -602,6 +609,13 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockState:
     return FockState(cutoff, np.outer(amps, amps.conj()), tail)
 
 
+def _require_finite(largest: float, term: str) -> None:
+    """Reject the parameters when ``largest``, the largest magnitude of a
+    lattice term, overflows, before the term is computed at every point."""
+    if not math.isfinite(largest):
+        raise InvalidParameterError(f"{term}: the term overflows on this lattice")
+
+
 def gaussian_cv(grid: CvGrid, sigma_x: float, x0: float = 0.0, p0: float = 0.0) -> CvState:
     """Pure Gaussian wave packet sampled on the lattice: position spread
     sigma_x, centred at (x0, p0).  Validation rejects grids that fail to
@@ -610,6 +624,13 @@ def gaussian_cv(grid: CvGrid, sigma_x: float, x0: float = 0.0, p0: float = 0.0) 
         raise InvalidParameterError("sigma_x must be a positive real")
     if not (math.isfinite(x0) and math.isfinite(p0)):
         raise InvalidParameterError("x0 and p0 must be finite reals")
+    var = sigma_x * sigma_x
+    if not 0.0 < var < math.inf:
+        raise InvalidParameterError(f"sigma_x {sigma_x!r}: its square underflows to 0 or overflows")
+    reach = grid.d * grid.dx + abs(x0)  # the largest |x - x0| on the lattice
+    term = f"(x - x0)^2 / (4 sigma_x^2), x0 {x0!r}, sigma_x {sigma_x!r}"
+    _require_finite(reach * reach / (4.0 * var), term)
+    _require_finite(p0 * reach / grid.hbar, f"p0 (x - x0) / hbar, p0 {p0!r}")
     x = grid.positions()
     psi = (2.0 * np.pi * sigma_x**2) ** (-0.25) * np.exp(
         -((x - x0) ** 2) / (4.0 * sigma_x**2) + 1j * p0 * (x - x0) / grid.hbar
@@ -624,6 +645,9 @@ def thermal_cv(grid: CvGrid, nbar: float) -> CvState:
         raise InvalidParameterError("nbar must be a non-negative real")
     s = 2.0 * nbar + 1.0
     hbar = grid.hbar
+    span = 2.0 * grid.d * grid.dx  # the largest |x - x'| on the lattice
+    term = f"(2 nbar + 1) (x - x')^2 / (4 hbar), nbar {nbar!r}"
+    _require_finite(s * (span * span) / (4.0 * hbar), term)
     x = grid.positions()
     fwd, bwd = np.meshgrid(x, x, indexing="ij")
     kernel = (

@@ -15,7 +15,6 @@ error, so float noise and logic bugs stay distinguishable.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ from .errors import (
     WrongDimensionError,
     enforce,
 )
-from .state import DensityMatrix, Spectrum, _readonly, purity, spectral_decompose
+from .state import DensityMatrix, Spectrum, _pairs, _readonly, purity, spectral_decompose
 
 _CLAMP = 1e-9
 _MU_CLAMP = 1e-12
@@ -45,12 +44,6 @@ def _clamped_sqrt(radicand: float, context: str, clamp: float = _CLAMP) -> float
 def _capped(value: float, context: str, cap_tol: float = _CLAMP) -> float:
     enforce(f"{context}: value", value, 1.0 + cap_tol)
     return min(value, 1.0)
-
-
-@functools.lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    rows, cols = np.triu_indices(n, k=1)
-    return _readonly(rows), _readonly(cols)
 
 
 def _pair_product_sum(values: np.ndarray) -> float:

@@ -11,6 +11,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,13 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr)
     out.setflags(write=False)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs i < j of an n x n matrix, row-major."""
+    rows, cols = np.triu_indices(n, k=1)
+    return _readonly(rows), _readonly(cols)
 
 
 def as_complex_matrix(matrix) -> np.ndarray:

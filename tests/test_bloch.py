@@ -11,20 +11,47 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def gellmann_basis(dim):
+    """The N^2 - 1 generalised Gell-Mann generators as dense matrices, the
+    reference that the package's entry-wise conversions are checked against:
+    (symmetric, antisymmetric, diagonal), keyed like ``BlochVector``."""
+    symmetric, antisymmetric, diagonal = {}, {}, {}
+    for j in range(1, dim + 1):
+        for k in range(j + 1, dim + 1):
+            u = np.zeros((dim, dim), dtype=complex)
+            u[j - 1, k - 1] = u[k - 1, j - 1] = 1.0
+            v = np.zeros((dim, dim), dtype=complex)
+            v[j - 1, k - 1] = -1.0j
+            v[k - 1, j - 1] = 1.0j
+            symmetric[(j, k)], antisymmetric[(j, k)] = u, v
+    for l in range(1, dim):
+        w = np.zeros((dim, dim), dtype=complex)
+        w[np.arange(l), np.arange(l)] = 1.0
+        w[l, l] = -l
+        diagonal[l] = np.sqrt(2.0 / (l * (l + 1))) * w
+    return symmetric, antisymmetric, diagonal
+
+
+def generators(dim):
+    """All generators in the canonical flat order of ``components()``."""
+    return [mat for group in gellmann_basis(dim) for mat in group.values()]
+
+
 class TestGellmannBasis:
+    """The reference generator set above: the package builds none."""
+
     def test_pauli_reduction_is_exact(self):
-        basis = qc.gellmann_basis(2)
-        assert np.array_equal(basis.symmetric[(1, 2)], PAULI_X)
-        assert np.array_equal(basis.antisymmetric[(1, 2)], PAULI_Y)
-        assert np.array_equal(basis.diagonal[1], PAULI_Z)
+        symmetric, antisymmetric, diagonal = gellmann_basis(2)
+        assert np.array_equal(symmetric[(1, 2)], PAULI_X)
+        assert np.array_equal(antisymmetric[(1, 2)], PAULI_Y)
+        assert np.array_equal(diagonal[1], PAULI_Z)
 
     def test_second_diagonal_generator_dim3(self):
-        basis = qc.gellmann_basis(3)
         expected = np.sqrt(1 / 3) * np.diag([1.0, 1.0, -2.0])
-        assert_allclose(basis.diagonal[2], expected, atol=1e-15)
+        assert_allclose(gellmann_basis(3)[2][2], expected, atol=1e-15)
 
     def test_dim4_orthogonality(self):
-        mats = list(qc.gellmann_basis(4).matrices())
+        mats = generators(4)
         assert len(mats) == 15
         for a, ma in enumerate(mats):
             for b, mb in enumerate(mats):
@@ -33,18 +60,46 @@ class TestGellmannBasis:
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 6])
     def test_counts_hermitian_traceless(self, dim):
-        basis = qc.gellmann_basis(dim)
+        symmetric, antisymmetric, diagonal = gellmann_basis(dim)
         pairs = dim * (dim - 1) // 2
-        assert len(basis.symmetric) == pairs
-        assert len(basis.antisymmetric) == pairs
-        assert len(basis.diagonal) == dim - 1
-        for mat in basis.matrices():
+        assert len(symmetric) == pairs
+        assert len(antisymmetric) == pairs
+        assert len(diagonal) == dim - 1
+        for mat in generators(dim):
             assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
             assert abs(np.trace(mat)) < 1e-12
 
     def test_dimension_too_small(self):
         with pytest.raises(qc.DimensionTooSmallError):
-            qc.gellmann_basis(1)
+            qc.from_bloch(qc.BlochVector(1, {}, {}, {}))
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_entrywise_conversions_match_generator_sums(dim):
+    """to_bloch gives sqrt(N/(2(N-1))) Tr(rho G) for every generator G, in
+    canonical order, and from_bloch gives (I + K sum_G c_G G)/N with
+    K = sqrt(N(N-1)/2), on states and on shrunk (still physical) vectors."""
+    mats = generators(dim)
+    scale = np.sqrt(dim * (dim - 1) / 2.0)
+    rng = np.random.default_rng(dim)
+    for i, kind in enumerate(("haar_pure", "ginibre_mixed", "ginibre_mixed")):
+        rho = qc.random_state(dim, kind, 11 * dim + i)
+        vec = qc.to_bloch(rho)
+        traces = np.array([np.trace(rho.entries @ mat) for mat in mats])
+        assert np.max(np.abs(traces.imag)) < 1e-15
+        oracle = np.sqrt(dim / (2.0 * (dim - 1))) * traces.real
+        assert np.max(np.abs(vec.components() - oracle)) <= 1e-15
+        shrink = rng.random()
+        shrunk = qc.BlochVector(
+            dim,
+            {key: shrink * value for key, value in vec.u.items()},
+            {key: shrink * value for key, value in vec.v.items()},
+            {key: shrink * value for key, value in vec.w.items()},
+        )
+        expected = np.eye(dim, dtype=complex)
+        for coeff, mat in zip(shrunk.components(), mats):
+            expected += scale * coeff * mat
+        assert np.max(np.abs(qc.from_bloch(shrunk).entries - expected / dim)) <= 1e-15
 
 
 class TestToBloch:
@@ -131,7 +186,7 @@ class TestBlochNorm:
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 6])
 def test_basis_completeness(dim):
-    mats = list(qc.gellmann_basis(dim).matrices())
+    mats = generators(dim)
     for i in range(100):
         rho = qc.random_state(dim, "ginibre_mixed", 555 * dim + i)
         rebuilt = np.eye(dim, dtype=complex) / dim

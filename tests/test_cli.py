@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcoherence as qc
-from qcoherence import jsonio
-from qcoherence.cli import _ladder_rungs, main
+from qcoherence import infdim, jsonio
+from qcoherence.cli import _ladder_rungs, build_parser, main
 
 
 def write_state(path, matrix):
@@ -421,6 +421,82 @@ class TestInfdim:
         assert err.startswith("error: ")
         assert "finite" in err
         assert "Traceback" not in err
+
+
+def run_quietly(argv) -> tuple[int, str, list]:
+    """(exit code, stderr, warnings raised) of one in-process command."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("grid_d", ["4", "8"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each exited 1 with a ZeroDivisionError or an OverflowError
+        ["--family", "gaussian-cv", "--sigma-x", "1e-170"],
+        ["--family", "gaussian-cv", "--sigma-x", "1e-200"],
+        ["--family", "gaussian-cv", "--sigma-x", "5e-324"],
+        ["--family", "gaussian-cv", "--sigma-x", "1e155"],
+        ["--family", "gaussian-cv", "--sigma-x", "1e300"],
+        ["--family", "gaussian-cv", "--p-max", "5e-324"],
+        ["--family", "thermal-cv", "--p-max", "5e-324"],
+        # each printed a numpy overflow RuntimeWarning before exiting 2
+        ["--family", "gaussian-cv", "--x0", "1e300"],
+        ["--family", "gaussian-cv", "--hbar", "1e300"],
+        ["--family", "thermal-cv", "--hbar", "1e300"],
+        ["--family", "gaussian-cv", "--p-max", "1e-300"],
+        ["--family", "thermal-cv", "--p-max", "1e-300"],
+        ["--family", "gaussian-cv", "--p-max", "1e-200"],
+        ["--family", "thermal-cv", "--p-max", "1e-200"],
+        ["--family", "gaussian-cv", "--sigma-x", "1e-155"],
+        ["--family", "gaussian-cv", "--sigma-x", "1e-160"],
+        ["--family", "gaussian-cv", "--x0", "1e150", "--p0", "1e300"],
+        ["--family", "thermal-cv", "--nbar", "1e10", "--p-max", "1e-150"],
+    ],
+    ids=" ".join,
+)
+def test_overflowing_lattice_flags_exit_2(argv, grid_d):
+    code, err, caught = run_quietly(["infdim", *argv, "--grid-d", grid_d])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err and "Warning" not in err
+    assert caught == []
+
+
+FUZZ_FLOATS = ("0", "1", "-1", "1e-300", "-1e-300", "5e-324", "1e155", "-1e155", "1e300",
+               "-1e300", "nan", "inf", "-inf")
+
+
+@st.composite
+def infdim_commands(draw):
+    """An ``infdim`` command: a family from ``infdim.FAMILIES``, some of the
+    float flags of its parameter record plus --p-max and --hbar, each set to
+    an edge value, and small integer flags (each grid at most a few MB)."""
+    family = draw(st.sampled_from(tuple(infdim.FAMILIES)))
+    defaults = build_parser().parse_args(["infdim", "--family", family])
+    record = infdim.FAMILIES[family].parameters(defaults)
+    flags = ["--" + key.replace("_", "-") for key in record if key != "cutoff"]
+    argv = ["infdim", "--family", family, f"--grid-d={draw(st.integers(-2, 8))}"]
+    for flag in draw(st.lists(st.sampled_from([*flags, "--p-max", "--hbar"]), unique=True)):
+        argv.append(f"{flag}={draw(st.sampled_from(FUZZ_FLOATS))}")
+    for flag in ("--grid-m", "--wigner-steps"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(st.integers(-2, 600))}")
+    return argv
+
+
+@settings(max_examples=300)
+@given(argv=infdim_commands())
+def test_fuzzed_family_flags_exit_0_or_2_without_traceback_or_warning(argv):
+    code, err, caught = run_quietly(argv)
+    assert code in (0, 2), err
+    assert "Traceback" not in err and "Warning" not in err
+    assert caught == []
 
 
 @pytest.mark.parametrize(

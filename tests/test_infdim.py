@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,24 @@ class TestCvGrid:
         with pytest.raises(qc.InvalidParameterError):
             qc.build_cv_grid(4, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "d, p_max, hbar, match",
+        [
+            (4, 5e-324, 1.0, "position spacing inf "),  # dp = 0: dx divides by 0
+            (4, 1e-300, 1.0, "position spacing 2.793e"),  # dx about 1e300
+            (4, 1e-200, 1.0, "position spacing 2.793e"),
+            (4, 8.0, 1e300, "position spacing 3.491e"),
+            (1, 5e-324, 1.0, "position spacing inf "),  # 0 * dx is NaN
+            (1, 1e300, 1e-300, "position spacing 0.000e"),  # dx = 0
+        ],
+        ids=["dp-zero", "p_max-1e-300", "p_max-1e-200", "hbar-1e300", "dx-inf", "dx-zero"],
+    )
+    def test_unrepresentable_lattice_rejected(self, d, p_max, hbar, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(qc.InvalidParameterError, match=match):
+                qc.build_cv_grid(d, p_max, hbar)
+
 
 class TestCvStates:
     def test_gaussian_is_pure(self):
@@ -219,6 +239,32 @@ class TestCvStates:
         mat[0, 1] = 0.5j
         with pytest.raises(qc.NotHermitianError):
             qc.CvState(grid, "position", mat)
+
+    @pytest.mark.parametrize(
+        "p_max, build, match",
+        [
+            # sigma_x^2 underflows to 0, so its normalisation divides by 0
+            (8.0, lambda g: qc.gaussian_cv(g, 1e-170), "square underflows to 0 or overflows"),
+            (8.0, lambda g: qc.gaussian_cv(g, 5e-324), "square underflows to 0 or overflows"),
+            # sigma_x^2 overflows
+            (8.0, lambda g: qc.gaussian_cv(g, 1e155), "square underflows to 0 or overflows"),
+            (8.0, lambda g: qc.gaussian_cv(g, 1e300), "square underflows to 0 or overflows"),
+            # subnormal sigma_x^2: (x - x0)^2 / (4 sigma_x^2) overflows
+            (8.0, lambda g: qc.gaussian_cv(g, 1e-155), r"^\(x - x0\)\^2 / \(4 sigma_x\^2\)"),
+            (8.0, lambda g: qc.gaussian_cv(g, 1e-160), r"^\(x - x0\)\^2 / \(4 sigma_x\^2\)"),
+            (8.0, lambda g: qc.gaussian_cv(g, 0.7, x0=1e300), r"^\(x - x0\)\^2"),
+            (8.0, lambda g: qc.gaussian_cv(g, 0.7, x0=1e150, p0=1e300), r"^p0 \(x - x0\) / hbar"),
+            (1e-150, lambda g: qc.thermal_cv(g, 1e10), r"^\(2 nbar \+ 1\) \(x - x'\)\^2"),
+        ],
+        ids=["sigma-1e-170", "sigma-5e-324", "sigma-1e155", "sigma-1e300", "sigma-1e-155",
+             "sigma-1e-160", "x0-1e300", "p0-1e300", "thermal-nbar-1e10"],
+    )
+    def test_overflowing_parameters_rejected(self, p_max, build, match):
+        grid = qc.build_cv_grid(4, p_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(qc.InvalidParameterError, match=match):
+                build(grid)
 
 
 class TestCommutator:
