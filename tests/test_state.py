@@ -5,6 +5,16 @@ from numpy.testing import assert_allclose
 import qcoherence as qc
 
 
+def _phase_oracle(column: np.ndarray) -> np.ndarray:
+    """Reference phase rule, one column at a time: the first component
+    above 1e-12 becomes real positive; a column without one is unchanged."""
+    above = np.abs(column) > 1e-12
+    if not np.any(above):
+        return column
+    pivot = column[int(np.argmax(above))]
+    return column * (pivot.conj() / abs(pivot))
+
+
 class TestValidateDensity:
     def test_maximally_mixed_is_valid(self):
         rho = qc.validate_density(np.eye(2) / 2)
@@ -98,6 +108,30 @@ class TestSpectralDecompose:
             pivot = col[np.argmax(np.abs(col) > 1e-12)]
             assert pivot.real > 0
             assert abs(pivot.imag) < 1e-12
+
+    @pytest.mark.parametrize("dim", [*range(2, 11), 32, 64])
+    def test_matches_per_column_phase_oracle(self, dim):
+        for seed in range(5):
+            rho = qc.random_state(dim, "ginibre_mixed", 1000 * dim + seed)
+            vals, vecs = np.linalg.eigh(rho.entries)
+            order = np.argsort(-vals, kind="stable")
+            expected = np.column_stack([_phase_oracle(vecs[:, i]) for i in order])
+            spectrum = qc.spectral_decompose(rho)
+            assert np.array_equal(spectrum.eigenvalues, vals[order])
+            assert np.array_equal(spectrum.eigenvectors, expected)
+
+    @pytest.mark.parametrize(
+        ("diagonal", "pivots"),
+        [
+            ([0.4, 0.2, 0.2, 0.2], [0, 1, 2, 3]),
+            ([0.3, 0.3, 0.2, 0.2], [0, 1, 2, 3]),
+            ([0.2, 0.4, 0.2, 0.2], [1, 0, 2, 3]),
+        ],
+    )
+    def test_equal_eigenvalues_keep_solver_order(self, diagonal, pivots):
+        vecs = qc.spectral_decompose(qc.validate_density(np.diag(diagonal))).eigenvectors
+        assert [int(np.argmax(np.abs(col) > 1e-12)) for col in vecs.T] == pivots
+        assert np.array_equal(np.abs(vecs), np.abs(vecs).round())
 
     def test_degenerate_output_reproducible(self):
         rho = qc.random_state(4, "haar_pure", 11)  # triple-degenerate zero block
