@@ -219,15 +219,6 @@ def density_from_dict(payload, tol: float = DEFAULT_TOLERANCE) -> DensityMatrix:
     return validate_density(matrix, tol)
 
 
-def bloch_to_dict(vec) -> dict:
-    return {
-        "dim": vec.dim,
-        "u": {f"{j},{k}": value for (j, k), value in vec.u.items()},
-        "v": {f"{j},{k}": value for (j, k), value in vec.v.items()},
-        "w": {str(l): value for l, value in vec.w.items()},
-    }
-
-
 def report_to_dict(report: CoherenceReport) -> dict:
     """Every report field, in declaration order, plus the cross-check block."""
     return {

@@ -29,8 +29,6 @@ from .errors import (
 
 DEFAULT_TOLERANCE = 1e-9
 
-# eigenvalues closer than this are treated as one degenerate block
-_DEGENERACY_TOL = 1e-12
 _PHASE_TOL = 1e-12
 
 RANDOM_KINDS = ("haar_pure", "ginibre_mixed", "rank_k")
@@ -74,7 +72,8 @@ class DensityMatrix:
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues sorted descending, paired with orthonormal eigenvector
-    columns; degenerate blocks are canonicalised for reproducibility."""
+    columns.  Equal eigenvalues keep the solver's order, and each column's
+    first component above 1e-12 is real positive."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -142,59 +141,25 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise EigenSolverFailure(f"eigendecomposition failed: {exc}") from exc
 
 
-def _phase_fixed(column: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its first component above the noise floor is real
-    positive."""
-    above = np.abs(column) > _PHASE_TOL
-    if not np.any(above):
-        return column
-    pivot = column[int(np.argmax(above))]
-    return column * (pivot.conj() / abs(pivot))
-
-
-def _lex_key(column: np.ndarray) -> tuple:
-    return tuple(t for z in column for t in (z.real, z.imag))
-
-
-def _canonicalize(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Deterministic eigenvectors: re-orthonormalise each degenerate block,
-    fix phases, and order block members lexicographically."""
-    n = vals.size
-    out = vecs.copy()
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and vals[start] - vals[stop] <= _DEGENERACY_TOL:
-            stop += 1
-        block = out[:, start:stop]
-        if stop - start > 1:
-            q, _ = np.linalg.qr(block)
-            cols = sorted(
-                (_phase_fixed(q[:, i]) for i in range(q.shape[1])),
-                key=_lex_key,
-                reverse=True,
-            )
-            block = np.column_stack(cols)
-        else:
-            block = _phase_fixed(block[:, 0])[:, None]
-        out[:, start:stop] = block
-        start = stop
-    return out
-
-
 def spectral_decompose(rho: DensityMatrix) -> Spectrum:
     """Descending eigenvalues and matching eigenvector columns of ``rho``.
 
-    Output is deterministic for degenerate spectra: within a degenerate
-    block the eigenvectors are re-orthogonalised, each phase is fixed so the
-    first nonzero component is real positive, and ties are broken by
-    lexicographic order of the phase-fixed vectors.
+    Equal eigenvalues keep the solver's column order.  Each column's phase
+    is fixed so that its first component above 1e-12 is real positive; a
+    column without one is left as the solver returned it.  Inside a
+    degenerate block the basis is the solver's: no phase or order rule can
+    undo a rotation within the block.
     """
     vals, vecs = _eigh(rho.entries)
-    order = np.argsort(vals, kind="stable")[::-1]
+    order = np.argsort(-vals, kind="stable")
     vals = vals[order]
-    vecs = _canonicalize(vals, vecs[:, order])
-    return Spectrum(_readonly(vals), _readonly(vecs))
+    vecs = vecs[:, order]
+    above = np.abs(vecs) > _PHASE_TOL
+    pivots = vecs[above.argmax(axis=0), np.arange(vals.size)]
+    phases = np.divide(
+        pivots.conj(), np.abs(pivots), out=np.ones_like(pivots), where=above.any(axis=0)
+    )
+    return Spectrum(_readonly(vals), _readonly(vecs * phases))
 
 
 def _check_integer(value, name: str, minimum: int) -> None:
@@ -234,13 +199,15 @@ def random_state(dim: int, kind: str, seed: int, rank: int | None = None) -> Den
         raise InvalidRankError("rank is only meaningful for kind='rank_k'")
 
     rng = _seeded_rng(seed)
+    # the result first, so that a size that cannot be held fails before any draw
+    mat = np.empty((dim, dim), dtype=complex)
     if kind == "haar_pure":
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         psi /= np.linalg.norm(psi)
-        mat = np.outer(psi, psi.conj())
+        np.multiply.outer(psi, psi.conj(), out=mat)
     else:
         k = dim if kind == "ginibre_mixed" else int(rank)
         g = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
-        w = g @ g.conj().T
-        mat = w / w.trace().real
+        np.matmul(g, g.conj().T, out=mat)
+        mat /= mat.trace().real
     return validate_density(mat, DEFAULT_TOLERANCE)

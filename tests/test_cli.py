@@ -509,8 +509,8 @@ def test_fuzzed_family_flags_exit_0_or_2_without_traceback_or_warning(argv):
 )
 def test_unallocatable_size_exit_2(argv, capsys):
     # each command's first allocation is its whole matrix, petabytes, so it
-    # fails at once; haar_pure and the other families would first allocate
-    # O(d) vectors of hundreds of megabytes
+    # fails at once; the other infdim families would first allocate O(d)
+    # vectors of hundreds of megabytes
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -592,6 +592,27 @@ class TestRandom:
         assert main(argv + (["--rank", str(rank)] if rank else [])) == 0
         rho = qc.random_state(dim, kind, 11, rank)
         assert state_file.read_text() == jsonio.dumps(jsonio.density_to_dict(rho))
+
+    def test_unallocatable_size_exit_2_before_any_draw(self, monkeypatch, capsys):
+        # the 1.42 PiB result exceeds any address space; drawing the haar_pure
+        # vector first would hold hundreds of megabytes before failing
+        draws = []
+        seeded = qc.state._seeded_rng
+
+        class Recorded:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                draws.append(name)
+                return getattr(self._rng, name)
+
+        monkeypatch.setattr(qc.state, "_seeded_rng", lambda seed: Recorded(seeded(seed)))
+        assert main(["random", "--dim", "10000000", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert draws == []
 
     def test_negative_seed_exit_2(self, capsys):
         assert main(["random", "--dim", "2", "--seed", "-1"]) == 2

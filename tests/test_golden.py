@@ -16,9 +16,12 @@ keeps 12 significant digits.  The search is compared by structure,
 because its path depends on the random stream and on the order of
 floating-point operations: keys, the evaluation count, the trace indices,
 the analytic value at 1e-12, the gap to it and the unitarity of the best
-basis.  Regenerate the files with ``PYTHONPATH=src python
-tests/test_golden.py`` when an output is meant to change, and say why in
-the commit.
+basis.  When an output is meant to change, regenerate its file alone,
+as in ``PYTHONPATH=src python tests/test_golden.py report_dim64.json``, and
+say why in the commit.  Only the named files are rewritten: the search path
+of ``maximize.json`` differs by machine in the last digit.  With no names,
+or with a name that is not a golden file, the script lists the valid names
+and rewrites nothing; an unknown name exits with status 2.
 """
 
 import json
@@ -45,9 +48,11 @@ INFDIM = {
 }
 
 
+NAMES = ("random.json", "report.json", "report_dim64.json", "maximize.json", *INFDIM)
+
+
 def _run(root: Path) -> dict[str, Path]:
-    names = ("random.json", "report.json", "report_dim64.json", "maximize.json", *INFDIM)
-    paths = {name: root / name for name in names}
+    paths = {name: root / name for name in NAMES}
     state = str(paths["random.json"])
     # the N=64 state is an input only, so it is not among the returned paths
     state_64 = str(root / "random_dim64.json")
@@ -150,8 +155,18 @@ def test_maximize_matches_golden_structure(outputs):
 
 if __name__ == "__main__":
     import shutil
+    import sys
     import tempfile
 
+    names = sys.argv[1:]
+    unknown = [name for name in names if name not in NAMES]
+    if unknown or not names:
+        if unknown:
+            print(f"unknown golden file: {', '.join(unknown)}", file=sys.stderr)
+        print(f"usage: {sys.argv[0]} NAME [NAME ...]; names: {', '.join(NAMES)}",
+              file=sys.stderr)
+        sys.exit(2 if unknown else 0)
     with tempfile.TemporaryDirectory() as workdir:
-        for path in _run(Path(workdir)).values():
-            shutil.copyfile(path, GOLDEN / path.name)
+        paths = _run(Path(workdir))
+        for name in names:
+            shutil.copyfile(paths[name], GOLDEN / name)

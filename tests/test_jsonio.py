@@ -428,13 +428,6 @@ class TestStateFiles:
         with pytest.raises(qc.InvalidParameterError):
             jsonio.density_from_dict(doc)
 
-    def test_bloch_serialisation_keys(self):
-        vec = qc.to_bloch(qc.validate_density(np.diag([0.5, 0.3, 0.2])))
-        doc = jsonio.bloch_to_dict(vec)
-        assert set(doc) == {"dim", "u", "v", "w"}
-        assert set(doc["u"]) == {"1,2", "1,3", "2,3"}
-        assert set(doc["w"]) == {"1", "2"}
-
 
 class TestInfdimStateFiles:
     def test_oam_round_trip(self):
