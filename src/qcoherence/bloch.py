@@ -8,9 +8,9 @@ coefficient vector of its expansion over these generators; the Euclidean
 norm of that vector is the basis-independent degree of coherence.  Both
 directions work on the matrix entries; no generator matrix is built.
 
-Components are stored keyed by their (j, k) or l index so the dimension is
-recoverable and ordering bugs are structural rather than silent; the
-canonical flat order for export is all u (row-major pairs), all v, then w.
+A vector is one read-only float64 array of N^2 - 1 components in the
+canonical order: all u (row-major pairs), all v (row-major pairs), then w
+ascending in l.
 """
 
 from __future__ import annotations
@@ -21,31 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooSmallError, WrongDimensionError, enforce
-from .state import DEFAULT_TOLERANCE, DensityMatrix, _pairs, validate_density
+from .state import DEFAULT_TOLERANCE, DensityMatrix, _pairs, _readonly, validate_density
 
 _IMAG_RESIDUE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class BlochVector:
-    """Real expansion coefficients of a state over the generators."""
+    """Real expansion coefficients of a state over the generators, as
+    ``dim**2 - 1`` components: u row-major, v row-major, w ascending."""
 
     dim: int
-    u: dict[tuple[int, int], float]
-    v: dict[tuple[int, int], float]
-    w: dict[int, float]
-
-    def components(self) -> np.ndarray:
-        """Flat export order: u row-major, v row-major, w ascending."""
-        return np.array(
-            [*self.u.values(), *self.v.values(), *self.w.values()], dtype=float
-        )
-
-
-def _pair_keys(n: int) -> list[tuple[int, int]]:
-    """The (j, k) keys of the pair components, 1-based, row-major."""
-    rows, cols = _pairs(n)
-    return list(zip((rows + 1).tolist(), (cols + 1).tolist()))
+    components: np.ndarray
 
 
 def _residue_name(rows: np.ndarray, cols: np.ndarray, index: int) -> str:
@@ -83,15 +70,9 @@ def to_bloch(rho: DensityMatrix) -> BlochVector:
     residues = np.abs(comps.imag)
     worst = int(residues.argmax())
     enforce(_residue_name(rows, cols, worst), residues[worst], _IMAG_RESIDUE_TOL)
-    count = rows.size
-    values = comps.real.tolist()
-    keys = _pair_keys(n)
-    return BlochVector(
-        n,
-        dict(zip(keys, values[:count])),
-        dict(zip(keys, values[count : 2 * count])),
-        dict(zip(range(1, n), values[2 * count :])),
-    )
+    # a contiguous copy: np.dot on the strided .real view may sum in
+    # another order, and the report's Bloch norm must not move
+    return BlochVector(n, _readonly(comps.real))
 
 
 def from_bloch(vec: BlochVector, tol: float = DEFAULT_TOLERANCE) -> DensityMatrix:
@@ -107,20 +88,21 @@ def from_bloch(vec: BlochVector, tol: float = DEFAULT_TOLERANCE) -> DensityMatri
     n = vec.dim
     if n < 2:
         raise DimensionTooSmallError(f"dimension {n} < 2")
-    keys = _pair_keys(n)
-    if set(vec.u) != set(keys) or set(vec.v) != set(keys) or set(vec.w) != set(range(1, n)):
+    comps = np.asarray(vec.components, dtype=float)
+    if comps.shape != (n * n - 1,):
         raise WrongDimensionError(
-            f"component keys do not match dimension {n} (need {n * n - 1} components)"
+            f"components of shape {comps.shape} do not match dimension {n}"
+            f" (need {n * n - 1} components)"
         )
-    u = np.fromiter(map(vec.u.__getitem__, keys), float)
-    v = np.fromiter(map(vec.v.__getitem__, keys), float)
+    rows, cols = _pairs(n)
+    count = rows.size
+    u, v = comps[:count], comps[count : 2 * count]
     ls = np.arange(1.0, n)
-    cw = np.sqrt(2.0 / (ls * (ls + 1.0))) * np.fromiter(map(vec.w.__getitem__, range(1, n)), float)
+    cw = np.sqrt(2.0 / (ls * (ls + 1.0))) * comps[2 * count :]
     scale = math.sqrt(n * (n - 1) / 2.0)
     diag = np.append(cw[::-1].cumsum()[::-1], 0.0)
     diag[1:] -= ls * cw
     mat = np.diag((1.0 + scale * diag) / n).astype(complex)
-    rows, cols = _pairs(n)
     mat[rows, cols] = scale * (u - 1j * v) / n
     mat[cols, rows] = scale * (u + 1j * v) / n
     return validate_density(mat, tol)
@@ -132,5 +114,5 @@ def bloch_norm(vec: BlochVector) -> float:
     For a vector obtained from a valid state this equals the
     basis-independent degree of coherence of that state.
     """
-    comps = vec.components()
+    comps = vec.components
     return math.sqrt(float(np.dot(comps, comps)))

@@ -565,10 +565,11 @@ def thermal_fock(nbar: float, cutoff: int) -> FockState:
         raise InvalidParameterError("nbar must be a non-negative real")
     if cutoff < 0:
         raise InvalidParameterError("cutoff must be >= 0")
+    # the matrix first, so that a size that cannot be held fails before the weights
+    mat = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     ratio = nbar / (nbar + 1.0)
-    n = np.arange(cutoff + 1)
-    weights = ratio**n / (nbar + 1.0)
-    return FockState(cutoff, np.diag(weights.astype(complex)), ratio ** (cutoff + 1))
+    np.fill_diagonal(mat, ratio ** np.arange(cutoff + 1) / (nbar + 1.0))
+    return FockState(cutoff, mat, ratio ** (cutoff + 1))
 
 
 def _poisson_tail_bound(mean: float, cutoff: int) -> float:
@@ -601,12 +602,15 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockState:
         mean = abs(alpha) ** 2
     except OverflowError:
         raise InvalidParameterError("|alpha|^2 must be a finite real") from None
+    # the matrix first, so that a size that cannot be held fails before the loop
+    mat = np.empty((cutoff + 1, cutoff + 1), dtype=complex)
     amps = np.zeros(cutoff + 1, dtype=complex)
     amps[0] = math.exp(-mean / 2.0)
     for n in range(1, cutoff + 1):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
+    np.multiply.outer(amps, amps.conj(), out=mat)
     tail = min(1.0, 2.0 * _poisson_tail_bound(mean, cutoff))
-    return FockState(cutoff, np.outer(amps, amps.conj()), tail)
+    return FockState(cutoff, mat, tail)
 
 
 def _require_finite(largest: float, term: str) -> None:

@@ -13,6 +13,7 @@ one more invariant gate must fire (``tests/test_gates.py``)."""
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -75,14 +76,10 @@ def shifted_bloch(monkeypatch):
 
     def shifted(rho):
         vec = shared(rho)
-        parts = {"u": dict(vec.u), "v": dict(vec.v), "w": dict(vec.w)}
-        part, key = max(
-            ((part, key) for part, values in parts.items() for key in values),
-            key=lambda pair: abs(parts[pair[0]][pair[1]]),
-        )
-        value = parts[part][key]
-        parts[part][key] = value + math.copysign(1e-8, value)
-        return dataclasses.replace(vec, **parts)
+        comps = vec.components.copy()
+        worst = np.argmax(np.abs(comps))
+        comps[worst] += math.copysign(1e-8, comps[worst])
+        return dataclasses.replace(vec, components=comps)
 
     monkeypatch.setattr(measures, "to_bloch", shifted)
 

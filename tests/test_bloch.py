@@ -14,7 +14,8 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def gellmann_basis(dim):
     """The N^2 - 1 generalised Gell-Mann generators as dense matrices, the
     reference that the package's entry-wise conversions are checked against:
-    (symmetric, antisymmetric, diagonal), keyed like ``BlochVector``."""
+    (symmetric, antisymmetric, diagonal), keyed by (j, k) and by l, each in
+    the order of its part of ``BlochVector.components``."""
     symmetric, antisymmetric, diagonal = {}, {}, {}
     for j in range(1, dim + 1):
         for k in range(j + 1, dim + 1):
@@ -33,7 +34,7 @@ def gellmann_basis(dim):
 
 
 def generators(dim):
-    """All generators in the canonical flat order of ``components()``."""
+    """All generators in the canonical order of ``BlochVector.components``."""
     return [mat for group in gellmann_basis(dim) for mat in group.values()]
 
 
@@ -71,7 +72,7 @@ class TestGellmannBasis:
 
     def test_dimension_too_small(self):
         with pytest.raises(qc.DimensionTooSmallError):
-            qc.from_bloch(qc.BlochVector(1, {}, {}, {}))
+            qc.from_bloch(qc.BlochVector(1, np.zeros(0)))
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
@@ -88,16 +89,10 @@ def test_entrywise_conversions_match_generator_sums(dim):
         traces = np.array([np.trace(rho.entries @ mat) for mat in mats])
         assert np.max(np.abs(traces.imag)) < 1e-15
         oracle = np.sqrt(dim / (2.0 * (dim - 1))) * traces.real
-        assert np.max(np.abs(vec.components() - oracle)) <= 1e-15
-        shrink = rng.random()
-        shrunk = qc.BlochVector(
-            dim,
-            {key: shrink * value for key, value in vec.u.items()},
-            {key: shrink * value for key, value in vec.v.items()},
-            {key: shrink * value for key, value in vec.w.items()},
-        )
+        assert np.max(np.abs(vec.components - oracle)) <= 1e-15
+        shrunk = qc.BlochVector(dim, rng.random() * vec.components)
         expected = np.eye(dim, dtype=complex)
-        for coeff, mat in zip(shrunk.components(), mats):
+        for coeff, mat in zip(shrunk.components, mats):
             expected += scale * coeff * mat
         assert np.max(np.abs(qc.from_bloch(shrunk).entries - expected / dim)) <= 1e-15
 
@@ -106,34 +101,29 @@ class TestToBloch:
     def test_maximally_mixed_maps_to_origin_exactly(self):
         for n in (2, 3, 5):
             vec = qc.to_bloch(qc.validate_density(np.eye(n) / n))
-            assert not np.any(vec.components())
+            assert not np.any(vec.components)
 
     def test_two_level_real_coherence(self):
+        # u_12, v_12, w_1
         vec = qc.to_bloch(qc.validate_density([[0.5, 0.25], [0.25, 0.5]]))
-        assert_allclose(vec.u[(1, 2)], 0.5, atol=1e-15)
-        assert_allclose(vec.v[(1, 2)], 0.0, atol=1e-15)
-        assert_allclose(vec.w[1], 0.0, atol=1e-15)
+        assert_allclose(vec.components, [0.5, 0.0, 0.0], atol=1e-15)
 
     def test_three_level_diagonal(self):
+        # u_12, u_13, u_23, v_12, v_13, v_23, then w_1, w_2
         vec = qc.to_bloch(qc.validate_density(np.diag([0.5, 0.3, 0.2])))
-        assert all(abs(value) < 1e-15 for value in vec.u.values())
-        assert all(abs(value) < 1e-15 for value in vec.v.values())
-        assert_allclose(vec.w[1], np.sqrt(0.75) * 0.2, atol=1e-15)
-        assert_allclose(vec.w[2], 0.2, atol=1e-15)
+        assert np.all(np.abs(vec.components[:6]) < 1e-15)
+        assert_allclose(vec.components[6], np.sqrt(0.75) * 0.2, atol=1e-15)
+        assert_allclose(vec.components[7], 0.2, atol=1e-15)
+
+    def test_components_are_read_only(self):
+        vec = qc.to_bloch(qc.validate_density([[0.5, 0.25], [0.25, 0.5]]))
+        with pytest.raises(ValueError):
+            vec.components[0] = 1.0
 
 
 class TestFromBloch:
-    def _zero_vector(self, dim):
-        pairs = [(j, k) for j in range(1, dim + 1) for k in range(j + 1, dim + 1)]
-        return qc.BlochVector(
-            dim,
-            {key: 0.0 for key in pairs},
-            {key: 0.0 for key in pairs},
-            {l: 0.0 for l in range(1, dim)},
-        )
-
     def test_origin_is_maximally_mixed(self):
-        rho = qc.from_bloch(self._zero_vector(5))
+        rho = qc.from_bloch(qc.BlochVector(5, np.zeros(24)))
         assert_allclose(rho.entries, np.eye(5) / 5, atol=1e-15)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 6])
@@ -145,19 +135,24 @@ class TestFromBloch:
 
     def test_unit_sphere_point_outside_physical_body(self):
         # (1/3)(I + sqrt(3) W_1) has eigenvalue (1 - sqrt(3))/3 < 0
-        vec = self._zero_vector(3)
-        vec.w[1] = 1.0
+        comps = np.zeros(8)
+        comps[6] = 1.0  # w_1
         with pytest.raises(qc.NotPSDError):
-            qc.from_bloch(vec)
+            qc.from_bloch(qc.BlochVector(3, comps))
 
     def test_tolerance_of_one(self):
         with pytest.raises(qc.InvalidParameterError):
             qc.from_bloch(qc.to_bloch(qc.validate_density(np.eye(2) / 2)), tol=1.0)
 
     def test_mismatched_components(self):
-        bad = qc.BlochVector(3, {(1, 2): 0.0}, {(1, 2): 0.0}, {1: 0.0, 2: 0.0})
         with pytest.raises(qc.WrongDimensionError):
-            qc.from_bloch(bad)
+            qc.from_bloch(qc.BlochVector(3, np.zeros(4)))
+
+    @pytest.mark.parametrize("shape", [(9,), (2, 4)])
+    def test_components_of_wrong_shape(self, shape):
+        # N^2 entries, and N^2 - 1 entries in a 2-d array, at N=3
+        with pytest.raises(qc.WrongDimensionError):
+            qc.from_bloch(qc.BlochVector(3, np.zeros(shape)))
 
 
 class TestBlochNorm:
@@ -211,8 +206,8 @@ class TestBlochProperties:
     @example(256)
     def test_maximally_mixed_maps_to_exact_zeros(self, n):
         vec = qc.to_bloch(qc.validate_density(np.eye(n) / n))
-        assert not np.any(vec.components())
-        assert vec.components().size == n * n - 1
+        assert not np.any(vec.components)
+        assert vec.components.size == n * n - 1
 
     @settings(max_examples=30)
     @given(random_states(256))

@@ -509,12 +509,30 @@ def test_fuzzed_family_flags_exit_0_or_2_without_traceback_or_warning(argv):
 )
 def test_unallocatable_size_exit_2(argv, capsys):
     # each command's first allocation is its whole matrix, petabytes, so it
-    # fails at once; the other infdim families would first allocate O(d)
+    # fails at once; the lattice families would first allocate O(d)
     # vectors of hundreds of megabytes
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_coherent_fock_unallocatable_size_exit_2_before_the_amplitudes(monkeypatch, capsys):
+    # the tail bound follows the O(d) amplitude loop, which would hold
+    # hundreds of megabytes; the 1.42 PiB matrix must fail before either
+    bounds = []
+    shared = infdim._poisson_tail_bound
+
+    def recorded(mean, cutoff):
+        bounds.append(cutoff)
+        return shared(mean, cutoff)
+
+    monkeypatch.setattr(infdim, "_poisson_tail_bound", recorded)
+    assert main(["infdim", "--family", "coherent-fock", "--grid-d", "10000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert bounds == []
 
 
 class TestRepeatedCalls:
