@@ -38,7 +38,7 @@ from .errors import (
     NotPSDError,
     enforce,
 )
-from .state import _eigvalsh, _readonly, as_complex_matrix
+from .state import _eigvalsh, _hermitian_part, _readonly, as_complex_matrix
 
 _HERMITICITY_TOL = 1e-12
 _PSD_TOL = 1e-10
@@ -51,10 +51,10 @@ REPRESENTATIONS = ("position", "momentum")
 
 
 def _validated_block(matrix, size: int, label: str, trace_tol=None, trace_hint="") -> np.ndarray:
-    """Read-only complex copy of a size x size block after checking, in
-    order: the shape, finite entries, Hermiticity at 1e-12 and, when
-    ``trace_tol`` is given, the trace within it and the minimum eigenvalue
-    at -1e-10.
+    """Read-only Hermitian part (M + M^H) / 2 of a size x size block M,
+    after checking, in order: the shape, finite entries, Hermiticity of M
+    at 1e-12 and, when ``trace_tol`` is given, the trace of M within it
+    and the minimum eigenvalue of the part at -1e-10.
 
     Positivity is certified by a Cholesky factorisation of the Hermitian
     part shifted by 1e-10 / 2, or of its real part when the imaginary part
@@ -68,43 +68,39 @@ def _validated_block(matrix, size: int, label: str, trace_tol=None, trace_hint="
     if mat.shape != (size, size):
         raise InvalidParameterError(f"{label}: shape must be {(size, size)}, got {mat.shape}")
     as_complex_matrix(mat)
-    herm = mat.conj().T
-    defect = float(np.max(np.abs(mat - herm)))
+    part, defect = _hermitian_part(mat)
     if defect > _HERMITICITY_TOL:
         raise NotHermitianError(f"{label}: Hermiticity defect {defect:.3e}")
+    part.setflags(write=False)
     if trace_tol is not None:
         trace = complex(mat.trace())
         if abs(trace - 1.0) > trace_tol:
             raise NotNormalizedError(
                 f"{label}: trace {trace} misses 1 beyond {trace_tol:.3e}{trace_hint}"
             )
-        if not _shifted_cholesky_succeeds(mat + herm):
-            min_eig = float(_eigvalsh((mat + herm) / 2.0)[0])
+        if not _shifted_cholesky_succeeds(part):
+            min_eig = float(_eigvalsh(part)[0])
             if min_eig < -_PSD_TOL:
                 raise NotPSDError(f"{label}: minimum eigenvalue {min_eig:.3e}")
-    return _readonly(mat)
+    return part
 
 
-def _shifted_cholesky_succeeds(doubled: np.ndarray) -> bool:
-    """Whether a Cholesky factor certifies H + (1e-10 / 2) I positive, for
-    H = doubled / 2.
+def _shifted_cholesky_succeeds(herm: np.ndarray) -> bool:
+    """Whether a Cholesky factor certifies the Hermitian ``herm`` +
+    (1e-10 / 2) I positive.
 
-    Write H = A + iB with A real symmetric and B real antisymmetric.  By
-    Weyl's inequality, lambda_min(H) >= lambda_min(A) - ||B||_2 >=
+    Write herm = A + iB with A real symmetric and B real antisymmetric.  By
+    Weyl's inequality, lambda_min(herm) >= lambda_min(A) - ||B||_2 >=
     lambda_min(A) - ||B||_F.  So when beta = ||B||_F < 1e-10 / 4, a factor
-    of the real A + (1e-10 / 2 - beta) I bounds lambda_min(H) below by the
-    same -1e-10 / 2, less rounding, as a factor of the complex
-    H + (1e-10 / 2) I, at about half the cost; otherwise the complex
-    matrix is factored.
-
-    ``doubled`` is a scratch array, overwritten in place; held only by this
-    call, it is freed before the caller makes its read-only copy."""
-    doubled *= 0.5
-    beta = float(np.linalg.norm(doubled.imag))
+    of the real A + (1e-10 / 2 - beta) I bounds lambda_min(herm) below by
+    the same -1e-10 / 2, less rounding, as a factor of the complex
+    herm + (1e-10 / 2) I, at about half the cost; otherwise the complex
+    matrix is factored.  A shifted copy is factored; ``herm`` is read only."""
+    beta = float(np.linalg.norm(herm.imag))
     if beta < _PSD_TOL / 4.0:
-        shifted, shift = doubled.real, _PSD_TOL / 2.0 - beta
+        shifted, shift = herm.real.copy(), _PSD_TOL / 2.0 - beta
     else:
-        shifted, shift = doubled, _PSD_TOL / 2.0
+        shifted, shift = herm.copy(), _PSD_TOL / 2.0
     shifted[np.diag_indices(len(shifted))] += shift
     try:
         np.linalg.cholesky(shifted)
@@ -116,7 +112,8 @@ def _shifted_cholesky_succeeds(doubled: np.ndarray) -> bool:
 @dataclass(frozen=True)
 class _TruncatedState:
     """Truncated state on a band of modes, plus the caller's bound on the
-    coefficient mass beyond the band; the trace may miss 1 by that bound."""
+    coefficient mass beyond the band; the trace may miss 1 by that bound.
+    ``coefficients`` holds the read-only Hermitian part of the input."""
 
     cutoff: int
     coefficients: np.ndarray
@@ -156,7 +153,8 @@ class FockState(_TruncatedState):
 
 @dataclass(frozen=True)
 class AngularCoherence:
-    """Angle-space coherence function sampled on theta_a = 2*pi*a/M."""
+    """Angle-space coherence function sampled on theta_a = 2*pi*a/M;
+    ``samples`` holds the read-only Hermitian part of the input."""
 
     grid_size: int
     samples: np.ndarray
@@ -241,6 +239,8 @@ class CvState:
 
     The matrix holds the dimensionless coefficients whose diagonal sums to
     one; dividing by the lattice spacing recovers the continuum kernel.
+    It is stored as the read-only Hermitian part (M + M^H) / 2 of the
+    input M, so it is exactly Hermitian.
     """
 
     grid: CvGrid
@@ -443,13 +443,12 @@ def wigner_from_cv(
     All rows are evaluated at once, without a loop over x, over the
     non-negative lags y = k dy, k in [0, 2D], in real arithmetic.  At lag
     -k the bilinear indices and weights are those at +k with the two axes
-    swapped, so the real part of the sum over all 4D+1 lags is the sum over
-    k >= 0 for the Hermitian part H = (G + G^H) / 2 of the kernel, with the
-    k > 0 terms doubled; for a Hermitian state H is G bit for bit.  One
-    bilinear gather of H reaches only the (row, lag) pairs that stay on the
-    lattice, and two real products with shared cos(2yp/hbar) and
-    sin(2yp/hbar) matrices finish the sum.  Transient memory is
-    O(x_steps * (2D+1)).
+    swapped, so for the kernel G, Hermitian because the stored matrix is,
+    the sum over all 4D+1 lags is the real sum over k >= 0 with the k > 0
+    terms doubled.  One bilinear gather of G reaches only the (row, lag)
+    pairs that stay on the lattice, and two real products with shared
+    cos(2yp/hbar) and sin(2yp/hbar) matrices finish the sum.  Transient
+    memory is O(x_steps * (2D+1)).
     """
     if state.representation != "position":
         raise GridMismatchError("phase-space sampling needs the position representation")
@@ -483,14 +482,10 @@ def wigner_from_cv(
     i_bwd = np.clip(np.floor(frac_bwd).astype(int), 0, n - 2)
     w_fwd = np.clip(frac_fwd - i_fwd, 0.0, 1.0)
     w_bwd = np.clip(frac_bwd - i_bwd, 0.0, 1.0)
-    # H = (G + G^H) / 2 for the kernel G = matrix / dx.  Doubling then
-    # halving is exact, so H is G bit for bit for a Hermitian matrix; the
-    # float pairs are divided, which rounds as a complex division by a real
-    # does at a fraction of its cost.
-    herm = state.matrix + state.matrix.conj().T
-    pairs = herm.view(float)
-    pairs /= 2.0 * grid.dx
-    herm = herm.ravel()
+    # the kernel G = matrix / dx, Hermitian as the stored matrix is; its
+    # float pairs are divided, correctly rounded, where numpy's complex
+    # division by a real would multiply by the reciprocal at greater cost
+    herm = (state.matrix.view(float) / grid.dx).view(complex).ravel()
     flat = i_fwd * n + i_bwd
     g = np.zeros((x_steps, k.size), dtype=complex)
     g[rows, lags] = (
@@ -635,11 +630,15 @@ def gaussian_cv(grid: CvGrid, sigma_x: float, x0: float = 0.0, p0: float = 0.0) 
     term = f"(x - x0)^2 / (4 sigma_x^2), x0 {x0!r}, sigma_x {sigma_x!r}"
     _require_finite(reach * reach / (4.0 * var), term)
     _require_finite(p0 * reach / grid.hbar, f"p0 (x - x0) / hbar, p0 {p0!r}")
+    # the matrix first, so that a size that cannot be held fails before the lattice
+    mat = np.empty((grid.size, grid.size), dtype=complex)
     x = grid.positions()
     psi = (2.0 * np.pi * sigma_x**2) ** (-0.25) * np.exp(
         -((x - x0) ** 2) / (4.0 * sigma_x**2) + 1j * p0 * (x - x0) / grid.hbar
     )
-    return CvState(grid, "position", np.outer(psi, psi.conj()) * grid.dx)
+    np.multiply.outer(psi, psi.conj(), out=mat)
+    mat *= grid.dx
+    return CvState(grid, "position", mat)
 
 
 def thermal_cv(grid: CvGrid, nbar: float) -> CvState:
@@ -652,6 +651,8 @@ def thermal_cv(grid: CvGrid, nbar: float) -> CvState:
     span = 2.0 * grid.d * grid.dx  # the largest |x - x'| on the lattice
     term = f"(2 nbar + 1) (x - x')^2 / (4 hbar), nbar {nbar!r}"
     _require_finite(s * (span * span) / (4.0 * hbar), term)
+    # the matrix first, so that a size that cannot be held fails before the lattice
+    mat = np.empty((grid.size, grid.size), dtype=complex)
     x = grid.positions()
     fwd, bwd = np.meshgrid(x, x, indexing="ij")
     kernel = (
@@ -659,7 +660,8 @@ def thermal_cv(grid: CvGrid, nbar: float) -> CvState:
         / math.sqrt(np.pi * hbar * s)
         * np.exp(-((fwd + bwd) ** 2) / (4.0 * hbar * s) - s * (fwd - bwd) ** 2 / (4.0 * hbar))
     )
-    return CvState(grid, "position", kernel.astype(complex) * grid.dx)
+    np.multiply(kernel, grid.dx, out=mat)
+    return CvState(grid, "position", mat)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,17 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _readonly(rows), _readonly(cols)
 
 
+def _hermitian_part(arr: np.ndarray) -> tuple[np.ndarray, float]:
+    """(arr + arr^H) / 2 as a new writable array, and the Hermiticity defect
+    max|arr - arr^H|.  Both are made before any check, so an entry past
+    half the float range leaves inf or nan in them without a warning."""
+    adj = arr.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the defect's temporaries are freed before the part is allocated
+        defect = float(np.max(np.abs(arr - adj)))
+        return (arr + adj) / 2.0, defect
+
+
 def as_complex_matrix(matrix) -> np.ndarray:
     """Coerce input to a finite 2-d complex array."""
     arr = np.asarray(matrix, dtype=complex)
@@ -97,7 +108,8 @@ def validate_density(matrix, tol: float = DEFAULT_TOLERANCE) -> DensityMatrix:
     if rows < 2:
         raise DimensionTooSmallError(f"dimension {rows} < 2")
 
-    herm_defect = float(np.max(np.abs(arr - arr.conj().T)))
+    # the stored copy is the exactly Hermitian part, made exactly normalised
+    sym, herm_defect = _hermitian_part(arr)
     if herm_defect > tol:
         raise NotHermitianError(
             f"Hermiticity defect {herm_defect:.3e} exceeds tolerance {tol:.1e}"
@@ -105,9 +117,6 @@ def validate_density(matrix, tol: float = DEFAULT_TOLERANCE) -> DensityMatrix:
     trace = complex(arr.trace())
     if abs(trace - 1.0) > tol:
         raise NotUnitTraceError(f"trace {trace} differs from 1 beyond {tol:.1e}")
-
-    # store an exactly Hermitian, exactly normalised copy
-    sym = (arr + arr.conj().T) / 2.0
     sym /= sym.trace().real
 
     eigvals = _eigvalsh(sym)
@@ -117,14 +126,14 @@ def validate_density(matrix, tol: float = DEFAULT_TOLERANCE) -> DensityMatrix:
     if min_eig < 0.0:
         vals, vecs = _eigh(sym)
         vals = np.clip(vals, 0.0, None)
-        sym = (vecs * vals) @ vecs.conj().T
-        sym = (sym + sym.conj().T) / 2.0
+        sym, _ = _hermitian_part((vecs * vals) @ vecs.conj().T)
         sym /= sym.trace().real
 
     pur = float(np.vdot(sym, sym).real)
     if pur > 1.0 + tol:
         raise NotPSDError(f"purity {pur:.12f} exceeds 1 beyond {tol:.1e}")
-    return DensityMatrix(rows, _readonly(sym))
+    sym.setflags(write=False)
+    return DensityMatrix(rows, sym)
 
 
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:

@@ -509,8 +509,7 @@ def test_fuzzed_family_flags_exit_0_or_2_without_traceback_or_warning(argv):
 )
 def test_unallocatable_size_exit_2(argv, capsys):
     # each command's first allocation is its whole matrix, petabytes, so it
-    # fails at once; the lattice families would first allocate O(d)
-    # vectors of hundreds of megabytes
+    # fails at once
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -533,6 +532,26 @@ def test_coherent_fock_unallocatable_size_exit_2_before_the_amplitudes(monkeypat
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert bounds == []
+
+
+@pytest.mark.parametrize("family", ["gaussian-cv", "thermal-cv"])
+def test_lattice_unallocatable_size_exit_2_before_the_positions(monkeypatch, capsys, family):
+    # the positions, and the amplitudes or meshgrid built on them, would hold
+    # hundreds of megabytes; the 5.68 PiB matrix must fail before them.  A
+    # call is recorded and refused, so that a failing run stays small.
+    calls = []
+
+    def refused(grid):
+        calls.append(grid.d)
+        raise MemoryError("positions refused")
+
+    monkeypatch.setattr(infdim.CvGrid, "positions", refused)
+    assert main(["infdim", "--family", family, "--grid-d", "10000000"]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "5.68 PiB" in err and "complex128" in err
+    assert "Traceback" not in err
 
 
 class TestRepeatedCalls:

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qcoherence as qc
-from qcoherence import infdim
+from qcoherence import infdim, jsonio
 
 INV_SQRT3 = 1 / np.sqrt(3)
 
@@ -267,6 +268,91 @@ class TestCvStates:
                 build(grid)
 
 
+def _stored(state):
+    """The matrix a discretised-state container holds."""
+    if isinstance(state, qc.CvState):
+        return state.matrix
+    if isinstance(state, qc.AngularCoherence):
+        return state.samples
+    return state.coefficients
+
+
+# a record and a band cutoff or lattice for every family; complex alpha and a
+# displaced packet are the cases whose raw input is not exactly Hermitian
+STORAGE_FAMILIES = [
+    pytest.param("geometric-oam", {"q": 0.5}, 16, id="geometric-oam"),
+    pytest.param("thermal-fock", {"nbar": 1.0}, 40, id="thermal-fock"),
+    pytest.param("coherent-fock", {"alpha_re": 1.0, "alpha_im": 0.0}, 40, id="coherent-fock"),
+    pytest.param("coherent-fock", {"alpha_re": 1.0, "alpha_im": 0.5}, 40,
+                 id="coherent-fock-complex"),
+    pytest.param("gaussian-cv", {"sigma_x": np.sqrt(0.5), "x0": 0.0, "p0": 0.0}, (64, 8.0),
+                 id="gaussian-cv"),
+    pytest.param("gaussian-cv", {"sigma_x": 0.8, "x0": 0.7, "p0": -1.1}, (128, 16.0),
+                 id="gaussian-cv-displaced"),
+    pytest.param("thermal-cv", {"nbar": 1.0}, (64, 8.0), id="thermal-cv"),
+]
+
+
+def _family_state(family, record, support):
+    if infdim.FAMILIES[family].lattice:
+        support = qc.build_cv_grid(*support)
+    return infdim.FAMILIES[family].build(record, support)
+
+
+class TestHermitianStorage:
+    """Every container stores the exactly Hermitian, read-only part of its
+    input, as ``DensityMatrix`` does."""
+
+    def test_every_family_is_covered(self):
+        assert {case.values[0] for case in STORAGE_FAMILIES} == set(infdim.FAMILIES)
+
+    @pytest.mark.parametrize(("family", "record", "support"), STORAGE_FAMILIES)
+    def test_family_constructors(self, family, record, support):
+        stored = _stored(_family_state(family, record, support))
+        assert np.array_equal(stored, stored.conj().T)
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0, 0] = 0.0
+
+    @pytest.mark.parametrize(("family", "record", "support"), STORAGE_FAMILIES)
+    def test_reloaded_state_files(self, family, record, support):
+        state = _family_state(family, record, support)
+        reloaded = _stored(jsonio.infdim_state_from_dict(json.loads(jsonio.dumps_state(state))))
+        assert np.array_equal(reloaded, reloaded.conj().T)
+        assert not reloaded.flags.writeable
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda g: qc.thermal_cv(g, 1.0), lambda g: qc.gaussian_cv(g, 0.8, x0=0.7, p0=-1.1)],
+        ids=["thermal", "displaced-gaussian"],
+    )
+    def test_converted_representations(self, build):
+        state = build(qc.build_cv_grid(64, 8.0))
+        for converted in (qc.convert_representation(state),
+                          qc.convert_representation(qc.convert_representation(state))):
+            assert np.array_equal(converted.matrix, converted.matrix.conj().T)
+            assert not converted.matrix.flags.writeable
+
+    def test_mode_superposition_and_its_angle_samples(self):
+        state = qc.oam_mode_superposition({-2: 1.0, 0: 0.5 - 0.3j, 1: 0.7j, 3: -0.4}, 3)
+        samples = qc.oam_to_angle(state, 32).samples
+        for stored in (state.coefficients, samples):
+            assert np.array_equal(stored, stored.conj().T)
+            assert not stored.flags.writeable
+
+    def test_anti_hermitian_input_stores_its_hermitian_part(self):
+        """An anti-Hermitian part of modulus 4e-13, inside the 1e-12 gate,
+        is dropped: the stored matrix is (M + M^H) / 2 bit for bit."""
+        grid = qc.build_cv_grid(17, 5.0)
+        rng = np.random.default_rng(17)
+        upper = np.triu(np.exp(2j * np.pi * rng.random((grid.size, grid.size))), 1)
+        matrix = _random_lattice_matrix(17, 117) + 4e-13 * (upper - upper.conj().T)
+        assert not np.array_equal(matrix, matrix.conj().T)
+        stored = qc.CvState(grid, "position", matrix).matrix
+        assert stored.tobytes() == ((matrix + matrix.conj().T) / 2.0).tobytes()
+        assert not stored.flags.writeable
+
+
 class TestCommutator:
     def test_structural_zeros_and_bulk_convergence(self):
         grid = qc.build_cv_grid(256, 16.0)
@@ -473,9 +559,10 @@ class TestLatticeOracles:
     @pytest.mark.parametrize("hbar", ORACLE_HBARS)
     def test_wigner_matches_row_oracle_off_hermitian(self, d, hbar):
         """A matrix just inside the Hermiticity gate: an anti-Hermitian part
-        of modulus 4e-13 in every off-diagonal entry.  The row oracle sums
-        every lag of the kernel itself; the library sums the non-negative
-        lags of its Hermitian part, which has the same real sum."""
+        of modulus 4e-13 in every off-diagonal entry.  The state stores the
+        Hermitian part; the row oracle sums every lag of that stored matrix,
+        the library only the non-negative lags, which have the same real
+        sum."""
         grid = qc.build_cv_grid(d, 0.9 * np.sqrt(d) + 0.3, hbar)
         rng = np.random.default_rng(700 + d)
         upper = np.triu(np.exp(2j * np.pi * rng.random((grid.size, grid.size))), 1)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -77,6 +79,23 @@ class TestValidateDensity:
         rho = qc.validate_density(np.eye(2) / 2)
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 5.0
+
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: qc.validate_density([[9e307, 0.0], [0.0, 0.5]]), qc.NotUnitTraceError),
+            (lambda: qc.validate_density([[0.5, 9e307], [-9e307, 0.5]]), qc.NotHermitianError),
+            (lambda: qc.FockState(1, [[9e307, 0.0], [0.0, 0.5]], 0.0), qc.NotNormalizedError),
+        ],
+        ids=["trace", "hermiticity", "fock-trace"],
+    )
+    def test_entry_past_half_the_float_range_rejected_without_warning(self, build, error):
+        # the Hermitian part and the defect are made before the checks, and
+        # doubling such an entry overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                build()
 
 
 class TestSpectralDecompose:
