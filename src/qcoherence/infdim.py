@@ -38,7 +38,7 @@ from .errors import (
     NotPSDError,
     enforce,
 )
-from .state import _eigvalsh, _hermitian_part, _readonly, as_complex_matrix
+from .state import _eigvalsh, _hermitian_part, _readonly, _require_finite_part, as_complex_matrix
 
 _HERMITICITY_TOL = 1e-12
 _PSD_TOL = 1e-10
@@ -53,8 +53,10 @@ REPRESENTATIONS = ("position", "momentum")
 def _validated_block(matrix, size: int, label: str, trace_tol=None, trace_hint="") -> np.ndarray:
     """Read-only Hermitian part (M + M^H) / 2 of a size x size block M,
     after checking, in order: the shape, finite entries, Hermiticity of M
-    at 1e-12 and, when ``trace_tol`` is given, the trace of M within it
-    and the minimum eigenvalue of the part at -1e-10.
+    at 1e-12, the trace of M within ``trace_tol`` when it is given, finite
+    entries of the part (``NotPSDError`` otherwise, whatever ``trace_tol``)
+    and, when ``trace_tol`` is given, the minimum eigenvalue of the part at
+    -1e-10.
 
     Positivity is certified by a Cholesky factorisation of the Hermitian
     part shifted by 1e-10 / 2, or of its real part when the imaginary part
@@ -78,10 +80,11 @@ def _validated_block(matrix, size: int, label: str, trace_tol=None, trace_hint="
             raise NotNormalizedError(
                 f"{label}: trace {trace} misses 1 beyond {trace_tol:.3e}{trace_hint}"
             )
-        if not _shifted_cholesky_succeeds(part):
-            min_eig = float(_eigvalsh(part)[0])
-            if min_eig < -_PSD_TOL:
-                raise NotPSDError(f"{label}: minimum eigenvalue {min_eig:.3e}")
+    _require_finite_part(part, f"{label}: ")
+    if trace_tol is not None and not _shifted_cholesky_succeeds(part):
+        min_eig = float(_eigvalsh(part)[0])
+        if min_eig < -_PSD_TOL:
+            raise NotPSDError(f"{label}: minimum eigenvalue {min_eig:.3e}")
     return part
 
 

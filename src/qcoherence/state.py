@@ -58,6 +58,16 @@ def _hermitian_part(arr: np.ndarray) -> tuple[np.ndarray, float]:
         return (arr + adj) / 2.0, defect
 
 
+def _require_finite_part(part: np.ndarray, prefix: str = "") -> None:
+    """Reject a Hermitian part with a non-finite entry as not positive.  A
+    finite input leaves one where m_ij + conj(m_ji) passes the float range.
+    A positive semidefinite matrix of unit trace has |m_ij|^2 <= m_ii * m_jj
+    <= 1, so it has no such pair, and no factorisation or eigenvalue solver
+    can certify a part past the float range."""
+    if not np.isfinite(part).all():
+        raise NotPSDError(f"{prefix}Hermitian part has an entry past the float range")
+
+
 def as_complex_matrix(matrix) -> np.ndarray:
     """Coerce input to a finite 2-d complex array."""
     arr = np.asarray(matrix, dtype=complex)
@@ -117,6 +127,7 @@ def validate_density(matrix, tol: float = DEFAULT_TOLERANCE) -> DensityMatrix:
     trace = complex(arr.trace())
     if abs(trace - 1.0) > tol:
         raise NotUnitTraceError(f"trace {trace} differs from 1 beyond {tol:.1e}")
+    _require_finite_part(sym)
     sym /= sym.trace().real
 
     eigvals = _eigvalsh(sym)

@@ -90,6 +90,22 @@ class TestReport:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "upper, lower",
+        [("[9.99e307, 0]", "[9.99e307, 0]"), ("[0, 9.99e307]", "[0, -9.99e307]")],
+        ids=["real", "imaginary"],
+    )
+    def test_hermitian_part_past_the_float_range_exit_2(self, tmp_path, capsys, upper, lower):
+        # Hermitian with unit trace, but doubling the off-diagonal pair overflows
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"dim": 2, "matrix": [[[0.5, 0], {upper}], [{lower}, [0.5, 0]]]}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["report", "--input", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_broken_weight_identity_exit_3(self, tmp_path, capsys, broken_weight_identity):
         state_file = tmp_path / "state.json"
         write_state(state_file, np.diag([0.5, 0.3, 0.2]))

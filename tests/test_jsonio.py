@@ -18,16 +18,16 @@ def _reference_encode(obj, parts, digits):
         parts.append("{")
         for i, (key, value) in enumerate(obj.items()):
             if i:
-                parts.append(", ")
+                parts.append(",")
             parts.append(json.dumps(str(key)))
-            parts.append(": ")
+            parts.append(":")
             _reference_encode(value, parts, digits)
         parts.append("}")
     elif isinstance(obj, (list, tuple)):
         parts.append("[")
         for i, value in enumerate(obj):
             if i:
-                parts.append(", ")
+                parts.append(",")
             _reference_encode(value, parts, digits)
         parts.append("]")
     elif isinstance(obj, bool):
@@ -108,6 +108,32 @@ class TestFloatFormatting:
             "b": [0.5, True, None, "x"],
             "c": {"d": 1 / 7},
         }
+
+
+class TestSpelling:
+    """The exact text, separators included: the oracles above compare with
+    a reference that shares the spelling, and the goldens parse values."""
+
+    def test_density_state_file(self):
+        rho = qc.validate_density([[0.5, 0.25j], [-0.25j, 0.5]])
+        text = '{"dim":2,"matrix":[[[0.5,0],[0,0.25]],[[0,-0.25],[0.5,0]]]}\n'
+        assert not _dedups(rho.entries)
+        assert jsonio.dumps_state(rho) == jsonio.dumps(jsonio.state_to_dict(rho)) == text
+
+    def test_lattice_state_file(self):
+        state = qc.CvState(qc.build_cv_grid(1, 2.0), "position", np.diag([0.25, 0.5, 0.25]))
+        text = (
+            '{"representation":"position","grid":{"d":1,"p_max":2,"hbar":1},'
+            '"matrix":[[[0.25,0],[0,0],[0,0]],[[0,0],[0.5,0],[0,0]],[[0,0],[0,0],[0.25,0]]]}\n'
+        )
+        assert _dedups(state.matrix)
+        assert jsonio.dumps_state(state) == jsonio.dumps(jsonio.state_to_dict(state)) == text
+
+    def test_nested_document(self):
+        # spaces inside a string are the string's own
+        doc = {"a": [1, 2.5, {"b": None, "c": True}], "d": "x, y: z", "e": {"f": -0.0}}
+        text = '{"a":[1,2.5,{"b":null,"c":true}],"d":"x, y: z","e":{"f":-0}}\n'
+        assert jsonio.dumps(doc) == text
 
 
 class TestEncoderOracle:
@@ -191,7 +217,7 @@ class TestEncoderOracle:
         for value, text in ((True, "true"), ("x", '"x"'), (10**400, str(10**400))):
             lists[1][1][0] = value
             assert jsonio.dumps(lists) == reference_dumps(lists)
-            assert f"[{text}, 0]" in jsonio.dumps(lists)
+            assert f"[{text},0]" in jsonio.dumps(lists)
         lists[1][0][1] = float("inf")
         with pytest.raises(qc.InvalidParameterError, match="^cannot serialise non-finite value inf$"):
             jsonio.dumps(lists)

@@ -17,6 +17,12 @@ def _phase_oracle(column: np.ndarray) -> np.ndarray:
     return column * (pivot.conj() / abs(pivot))
 
 
+# Hermitian with unit trace; m_01 + conj(m_10) passes the float range
+_OVERFLOWING_PAIR = np.array([[0.5, 9.99e307], [9.99e307, 0.5]], dtype=complex)
+_OVERFLOWING_LATTICE = np.diag([0.5, 0.0, 0.5]).astype(complex)
+_OVERFLOWING_LATTICE[0, 2] = _OVERFLOWING_LATTICE[2, 0] = 9.99e307
+
+
 class TestValidateDensity:
     def test_maximally_mixed_is_valid(self):
         rho = qc.validate_density(np.eye(2) / 2)
@@ -86,8 +92,22 @@ class TestValidateDensity:
             (lambda: qc.validate_density([[9e307, 0.0], [0.0, 0.5]]), qc.NotUnitTraceError),
             (lambda: qc.validate_density([[0.5, 9e307], [-9e307, 0.5]]), qc.NotHermitianError),
             (lambda: qc.FockState(1, [[9e307, 0.0], [0.0, 0.5]], 0.0), qc.NotNormalizedError),
+            # Hermitian with unit trace, but the part's off-diagonal pair overflows
+            (lambda: qc.validate_density(_OVERFLOWING_PAIR), qc.NotPSDError),
+            (lambda: qc.validate_density([[0.5, 9.99e307j], [-9.99e307j, 0.5]]), qc.NotPSDError),
+            (lambda: qc.FockState(1, _OVERFLOWING_PAIR, 0.0), qc.NotPSDError),
+            (lambda: qc.OamState(1, _OVERFLOWING_LATTICE, 0.0), qc.NotPSDError),
+            (
+                lambda: qc.CvState(qc.build_cv_grid(1, 2.0), "position", _OVERFLOWING_LATTICE),
+                qc.NotPSDError,
+            ),
+            # no trace check: the finite-part check still runs
+            (lambda: qc.AngularCoherence(2, _OVERFLOWING_PAIR), qc.NotPSDError),
         ],
-        ids=["trace", "hermiticity", "fock-trace"],
+        ids=[
+            "trace", "hermiticity", "fock-trace", "positivity", "positivity-imaginary",
+            "fock-positivity", "oam-positivity", "lattice-positivity", "angular-positivity",
+        ],
     )
     def test_entry_past_half_the_float_range_rejected_without_warning(self, build, error):
         # the Hermitian part and the defect are made before the checks, and
