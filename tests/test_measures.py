@@ -1,3 +1,7 @@
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from math import lcm
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -442,3 +446,110 @@ def test_mu_sums_match_loops(dim, seed):
 @pytest.mark.parametrize("n", (2, 3, 7, 40))
 def test_spread_of_equal_entries_is_exactly_zero(n):
     assert _squared_deviation(np.full(n, 1.0 / 3.0)) == 0.0
+
+
+# An exact oracle near the maximally mixed state.  The reference is the
+# stored matrix read exactly as Fractions: P_N from its exact centred sum,
+# square-rooted to 40 digits, and the total pure weight t - N lambda_min
+# from an exact bracket of the smallest eigenvalue.  Every route must be
+# within 1e-14 of it, relative, whatever the distance to I/N.
+
+_ORACLE_DIMS = (2, 3, 8, 32)
+_ORACLE_EPS = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
+
+
+def _near_mixed(n, eps, rng):
+    """I/N + eps H for a symmetric H of integers in +-{1, 2, 3} with a zero
+    diagonal, as stored by validation; positive for eps <= 1e-4, N <= 32."""
+    h = np.triu(rng.choice([-3, -2, -1, 1, 2, 3], size=(n, n)), k=1)
+    return qc.validate_density(np.eye(n) / n + eps * (h + h.T))
+
+
+def _exact_centred(rho):
+    """The stored matrix minus (t/N) I as Fractions, and its trace t."""
+    m = rho.entries
+    assert not m.imag.any()
+    rows = [[Fraction(float(v)) for v in row] for row in m.real]
+    t = sum(rows[i][i] for i in range(rho.dim))
+    for i in range(rho.dim):
+        rows[i][i] -= t / rho.dim
+    return rows, t
+
+
+def _exact_p(rho):
+    c, t = _exact_centred(rho)
+    n = rho.dim
+    radicand = n * sum(x * x for row in c for x in row) / ((n - 1) * t * t)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float((Decimal(radicand.numerator) / Decimal(radicand.denominator)).sqrt())
+
+
+def _count_below(c, x):
+    """How many eigenvalues of the rational symmetric matrix c lie below x,
+    exactly: the sign changes along the leading principal minors of c - xI
+    (Sylvester's law of inertia), each minor a pivot of fraction-free
+    (Bareiss) elimination on the integer matrix over the common denominator.
+    None when a minor is 0."""
+    n = len(c)
+    den = lcm(x.denominator, *(v.denominator for row in c for v in row))
+    a = [[int((v - (x if i == j else 0)) * den) for j, v in enumerate(row)]
+         for i, row in enumerate(c)]
+    prev, changes = 1, 0
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot == 0:
+            return None
+        changes += (pivot < 0) != (prev < 0)
+        for i in range(k + 1, n):
+            # the matrix stays symmetric: update and read the upper triangle only
+            row, aki = a[i], a[k][i]
+            for j in range(i, n):
+                row[j] = (row[j] * pivot - aki * a[k][j]) // prev
+        prev = pivot
+    return changes
+
+
+def _exact_weight_sum(rho):
+    """t - N lambda_min = -N mu_min, mu_min the smallest eigenvalue of the
+    exact centred matrix, as the centre of an exact bracket of mu_min no
+    wider than 1e-15 relative.  The bracket starts at 5e-16 about a float
+    estimate and widens fourfold until it holds."""
+    c, _ = _exact_centred(rho)
+    guess = Fraction(float(np.linalg.eigvalsh(np.array(c, dtype=float))[0]))
+    radius = abs(guess) * Fraction(5, 10**16)
+    while _count_below(c, guess - radius) != 0 or not _count_below(c, guess + radius):
+        radius *= 4
+    lo, hi = guess - radius, guess + radius
+    while hi - lo > abs(guess) * Fraction(1, 10**15):
+        mid = (lo + hi) / 2
+        if _count_below(c, mid) == 0:
+            lo = mid
+        else:
+            hi = mid
+    return float(-rho.dim * (lo + hi) / 2)
+
+
+def _assert_exact(rho):
+    rep = qc.coherence_report(rho)
+    p = _exact_p(rho)
+    for name in ("p_n", "frobenius_distance", "center_of_mass", "bloch_norm", "visibility"):
+        value = getattr(rep, name)
+        assert abs(value - p) <= 1e-14 * p, (name, value, p)
+    weight_sum = _exact_weight_sum(rho)
+    assert abs(rep.pure_part_weight_sum - weight_sum) <= 1e-14 * weight_sum, (
+        rep.pure_part_weight_sum, weight_sum)
+
+
+@pytest.mark.parametrize("eps", _ORACLE_EPS)
+@pytest.mark.parametrize("n", _ORACLE_DIMS)
+def test_routes_match_the_exact_value_near_the_mixed_state(n, eps):
+    rng = np.random.default_rng(n * 1000 + int(-np.log10(eps)))
+    for _ in range(3):
+        _assert_exact(_near_mixed(n, eps, rng))
+
+
+@settings(max_examples=25)
+@given(st.sampled_from(_ORACLE_DIMS), st.floats(4.0, 12.0), st.integers(0, 2**32 - 1))
+def test_routes_match_the_exact_value_property(n, decades, seed):
+    _assert_exact(_near_mixed(n, 10.0**-decades, np.random.default_rng(seed)))
