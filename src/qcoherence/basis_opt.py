@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, enforce
-from .measures import _mu_sums, _spread, _squared_deviation, p_n, visibility_f
+from .measures import _mu_sums, _spread, _squared_deviation, p_n, visibility
 from .state import (
     DensityMatrix,
     Spectrum,
@@ -373,13 +373,13 @@ def maximize_visibility(
     """Random-restart greedy search for the basis maximising the detection
     probability spread; the eigenbasis attains the maximum and is injected
     as the first seed by default.  Proposals are scored from their 2x2 block
-    as in :func:`maximize_mu`, and one eigendecomposition gives the factor,
-    the ceiling and the seed."""
+    as in :func:`maximize_mu`; one eigendecomposition gives the factor and
+    the seed, and :func:`visibility` the ceiling."""
     spectrum = spectral_decompose(rho)
     return _greedy_search(
         spectrum,
         _VisibilityScore(),
-        ceiling=visibility_f(spectrum.eigenvalues),
+        ceiling=visibility(rho),
         analytic_seed=np.asarray(spectrum.eigenvectors) if include_analytic_seed else None,
         target="visibility_f",
         budget=budget,

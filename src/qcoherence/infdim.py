@@ -38,7 +38,9 @@ from .errors import (
     NotPSDError,
     enforce,
 )
-from .state import _eigvalsh, _hermitian_part, _readonly, _require_finite_part, as_complex_matrix
+from .state import (
+    _eigvalsh, _hermitian_part, _readonly, _require_finite_part, _square_matrix, as_complex_matrix
+)
 
 _HERMITICITY_TOL = 1e-12
 _PSD_TOL = 1e-10
@@ -328,10 +330,11 @@ def oam_to_angle(state: OamState, grid_size: int) -> AngularCoherence:
         raise GridTooCoarseError(
             f"grid_size {grid_size} < {2 * band} cannot resolve the truncated band"
         )
+    # the samples first, so that a size that cannot be held fails before the angles
+    samples = _square_matrix(grid_size)
     theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    modes = np.arange(-state.cutoff, state.cutoff + 1)
-    phases = np.exp(1j * np.outer(theta, modes))
-    samples = phases @ state.coefficients @ phases.conj().T / (2.0 * np.pi)
+    phases = np.exp(1j * np.outer(theta, np.arange(-state.cutoff, state.cutoff + 1)))
+    np.divide(phases @ state.coefficients @ phases.conj().T, 2.0 * np.pi, out=samples)
     return AngularCoherence(grid_size, samples)
 
 
@@ -532,7 +535,7 @@ def geometric_oam(q: float, cutoff: int) -> OamState:
     if cutoff < 0:
         raise InvalidParameterError("cutoff must be >= 0")
     size = 2 * cutoff + 1
-    mat = np.zeros((size, size), dtype=complex)
+    mat = _square_matrix(size, np.zeros)
     for l in range(cutoff + 1):
         mat[l + cutoff, l + cutoff] = (1.0 - q) * q**l
     return OamState(cutoff, mat, q ** (cutoff + 1))
@@ -564,7 +567,7 @@ def thermal_fock(nbar: float, cutoff: int) -> FockState:
     if cutoff < 0:
         raise InvalidParameterError("cutoff must be >= 0")
     # the matrix first, so that a size that cannot be held fails before the weights
-    mat = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    mat = _square_matrix(cutoff + 1, np.zeros)
     ratio = nbar / (nbar + 1.0)
     np.fill_diagonal(mat, ratio ** np.arange(cutoff + 1) / (nbar + 1.0))
     return FockState(cutoff, mat, ratio ** (cutoff + 1))
@@ -601,7 +604,7 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockState:
     except OverflowError:
         raise InvalidParameterError("|alpha|^2 must be a finite real") from None
     # the matrix first, so that a size that cannot be held fails before the loop
-    mat = np.empty((cutoff + 1, cutoff + 1), dtype=complex)
+    mat = _square_matrix(cutoff + 1)
     amps = np.zeros(cutoff + 1, dtype=complex)
     amps[0] = math.exp(-mean / 2.0)
     for n in range(1, cutoff + 1):
@@ -634,7 +637,7 @@ def gaussian_cv(grid: CvGrid, sigma_x: float, x0: float = 0.0, p0: float = 0.0) 
     _require_finite(reach * reach / (4.0 * var), term)
     _require_finite(p0 * reach / grid.hbar, f"p0 (x - x0) / hbar, p0 {p0!r}")
     # the matrix first, so that a size that cannot be held fails before the lattice
-    mat = np.empty((grid.size, grid.size), dtype=complex)
+    mat = _square_matrix(grid.size)
     x = grid.positions()
     psi = (2.0 * np.pi * sigma_x**2) ** (-0.25) * np.exp(
         -((x - x0) ** 2) / (4.0 * sigma_x**2) + 1j * p0 * (x - x0) / grid.hbar
@@ -655,7 +658,7 @@ def thermal_cv(grid: CvGrid, nbar: float) -> CvState:
     term = f"(2 nbar + 1) (x - x')^2 / (4 hbar), nbar {nbar!r}"
     _require_finite(s * (span * span) / (4.0 * hbar), term)
     # the matrix first, so that a size that cannot be held fails before the lattice
-    mat = np.empty((grid.size, grid.size), dtype=complex)
+    mat = _square_matrix(grid.size)
     x = grid.positions()
     fwd, bwd = np.meshgrid(x, x, indexing="ij")
     kernel = (

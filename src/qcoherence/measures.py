@@ -1,12 +1,15 @@
 """All interpretations of the basis-independent degree of coherence.
 
 For an N-dimensional state the same number is reachable through five
-independent routes: the trace-of-square formula, the Bloch-vector norm, the
-Frobenius distance to the maximally mixed state, the center-of-mass
-distance built from the eigenvalues, and the maximal interference
-visibility.  A sixth, basis-dependent quantity (the ratio of off-diagonal
-to diagonal correlation mass) is bounded above by it, and the unique
-pure-part split gives an upper bound through the total pure weight.
+routes: the trace-of-square formula, the Bloch-vector norm, the Frobenius
+distance to the maximally mixed state, the center-of-mass distance built
+from the eigenvalues, and the maximal interference visibility.  They are
+three computations on the state centred at I/N, accurate near it: one
+Frobenius sum (the first and third), the Bloch components (the second) and
+one spectrum of eigenvalues (the last two, and the pure weights).  A sixth,
+basis-dependent quantity (the ratio of off-diagonal to diagonal correlation
+mass) is bounded above by it, and the unique pure-part split gives an upper
+bound through the total pure weight.
 
 Radicands in [-1e-9, 0) are clamped to 0; anything more negative is a hard
 error, so float noise and logic bugs stay distinguishable.
@@ -28,7 +31,7 @@ from .errors import (
     WrongDimensionError,
     enforce,
 )
-from .state import DensityMatrix, Spectrum, _pairs, _readonly, purity, spectral_decompose
+from .state import DensityMatrix, Spectrum, _eigvalsh, _pairs, _readonly, purity, spectral_decompose
 
 _CLAMP = 1e-9
 _MU_CLAMP = 1e-12
@@ -75,10 +78,20 @@ def _squared_deviation(values: np.ndarray) -> float:
 
 
 def _spread(squares: float, n: int, total: float) -> float:
-    """N Q / ((N-1) t^2) for N entries with total t and squared deviation
-    Q = sum_i (a_i - t/N)^2: the squared center-of-mass distance, and the
-    squared visibility, of the entries.  Linear in Q."""
+    """N Q / ((N-1) t^2), linear in Q, for N entries of total t and squared
+    deviation Q = sum_i (a_i - t/N)^2 (the squared center-of-mass distance and
+    visibility), or for a matrix with Q its centred Frobenius sum (P_N^2)."""
     return n * squares / ((n - 1.0) * total * total)
+
+
+def _spread_root(squares: float, n: int, total: float, context: str) -> float:
+    return _capped(_clamped_sqrt(_spread(squares, n, total), context), context)
+
+
+def _centred(rho: DensityMatrix) -> tuple[np.ndarray, float]:
+    """rho - (t/N) I and the trace t."""
+    trace = rho.entries.trace().real
+    return rho.entries - np.eye(rho.dim) * (trace / rho.dim), trace
 
 
 @dataclass(frozen=True)
@@ -118,15 +131,11 @@ def p_n(rho: DensityMatrix) -> float:
     N Tr(rho^2) - t^2 = N sum_ij |rho_ij - delta_ij t/N|^2 (t = trace), a
     pure sum of squares; the direct difference would cancel catastrophically
     near the maximally mixed state and turn float noise into sqrt-amplified
-    output noise.
+    output noise.  The same value is the normalised Frobenius distance to
+    I/N, so ``frobenius_distance_measure`` is this function.
     """
-    n = rho.dim
-    trace = rho.entries.trace().real
-    centered = rho.entries - np.eye(n) * (trace / n)
-    radicand = n * float(np.vdot(centered, centered).real) / (
-        (n - 1.0) * trace * trace
-    )
-    return _capped(_clamped_sqrt(radicand, "p_n"), "p_n")
+    centred, trace = _centred(rho)
+    return _spread_root(float(np.vdot(centred, centred).real), rho.dim, trace, "p_n")
 
 
 def p2_determinant_form(rho: DensityMatrix) -> float:
@@ -138,21 +147,14 @@ def p2_determinant_form(rho: DensityMatrix) -> float:
     return _capped(_clamped_sqrt(1.0 - 4.0 * det, "p2_determinant_form"), "p2_determinant_form")
 
 
-def frobenius_distance_measure(rho: DensityMatrix) -> float:
-    """Normalised Frobenius distance between the state and the maximally
-    mixed state, computed entrywise."""
-    n = rho.dim
-    diff = rho.entries - np.eye(n) / n
-    dist_sq = float(np.vdot(diff, diff).real)
-    return _capped(_clamped_sqrt(n / (n - 1.0) * dist_sq, "frobenius_distance"), "frobenius_distance")
+frobenius_distance_measure = p_n
 
 
 def center_of_mass_distance(spectrum: Spectrum) -> float:
     """Distance to the center of mass of point masses equal to the
     eigenvalues, placed on the vertices of a regular simplex."""
     lam = spectrum.eigenvalues
-    spread = _spread(_squared_deviation(lam), lam.size, float(np.sum(lam)))
-    return _capped(_clamped_sqrt(spread, "center_of_mass"), "center_of_mass")
+    return _spread_root(_squared_deviation(lam), lam.size, float(np.sum(lam)), "center_of_mass")
 
 
 def mu_n(rho: DensityMatrix) -> float:
@@ -220,24 +222,21 @@ def visibility_f(probs) -> float:
 def visibility(rho: DensityMatrix) -> float:
     """Maximal interference visibility of the state over all measurement
     bases: the spread function evaluated on the eigenvalues, which majorize
-    every achievable probability vector."""
-    return visibility_f(spectral_decompose(rho).eigenvalues)
-
-
-def _pure_part(spectrum: Spectrum) -> PurePartDecomposition:
-    lam = spectrum.eigenvalues
-    n = lam.size
-    return PurePartDecomposition(
-        _readonly(lam[: n - 1] - lam[n - 1]),
-        _readonly(spectrum.eigenvectors[:, : n - 1]),
-        float(n * lam[n - 1]),
-    )
+    every achievable probability vector; one value with the center of mass."""
+    centred, trace = _centred(rho)
+    return _spread_root(_squared_deviation(_eigvalsh(centred)), rho.dim, trace, "center_of_mass")
 
 
 def pure_part_decomposition(rho: DensityMatrix) -> PurePartDecomposition:
     """Unique decomposition into N-1 orthonormal pure parts with weights
     lambda_i - lambda_N plus a maximally mixed part of weight N*lambda_N."""
-    return _pure_part(spectral_decompose(rho))
+    spectrum = spectral_decompose(rho)
+    lam = spectrum.eigenvalues
+    return PurePartDecomposition(
+        _readonly(lam[:-1] - lam[-1]),
+        _readonly(spectrum.eigenvectors[:, :-1]),
+        float(lam.size * lam[-1]),
+    )
 
 
 def pure_part_bound_check(
@@ -252,8 +251,11 @@ def pure_part_bound_check(
     exactly when at most one weight is nonzero (the cross sum vanishes), and
     strictly positive otherwise; at N=2 the single weight is P_2 itself.
     """
-    s = decomposition.weights
-    n = decomposition.pure_states.shape[0]
+    return _weight_bound(decomposition.weights, p)
+
+
+def _weight_bound(s: np.ndarray, p: float) -> tuple[bool, float]:
+    n = s.size + 1
     weight_sum = float(np.sum(s))
     cross = _pair_product_sum(s)
     p_from_weights = _clamped_sqrt(
@@ -268,22 +270,23 @@ def pure_part_bound_check(
 def coherence_report(rho: DensityMatrix) -> CoherenceReport:
     """Evaluate every measure and enforce their mutual consistency.
 
-    The five equivalent routes must agree within 1e-9; the basis-dependent
-    degree of coherence must not exceed them; the pure weights must give the
-    coherence measure back through the identity of
-    :func:`pure_part_bound_check` within 1e-10, and the measure must not
-    exceed their total beyond 1e-9.  Any violation raises
-    InternalInvariantViolation naming the offending pair.  For states whose
-    diagonal makes the basis-dependent ratio a 0/0 form, the reported value
-    is 0.0, the limit along nearby states in the same basis.
+    Three computations give the fields, and must agree within 1e-9: the
+    centred Frobenius sum (``p_n``, ``frobenius_distance``), the Bloch
+    components (``bloch_norm``) and the centred eigenvalues (``center_of_mass``,
+    ``visibility``, ``pure_part_weight_sum``).  The basis-dependent degree of
+    coherence must not exceed them; the pure weights must give the measure
+    back through the identity of :func:`pure_part_bound_check` within 1e-10,
+    and the measure must not exceed their total beyond 1e-9.  Any violation
+    raises InternalInvariantViolation naming the offending pair.  For states
+    whose diagonal makes the basis-dependent ratio a 0/0 form, the reported
+    value is 0.0, the limit along nearby states in the same basis.
     """
-    spectrum = spectral_decompose(rho)
+    centred, trace = _centred(rho)
+    eigs = _eigvalsh(centred)
     routes = {
         "p_n": p_n(rho),
-        "frobenius_distance": frobenius_distance_measure(rho),
-        "center_of_mass": center_of_mass_distance(spectrum),
+        "center_of_mass": _spread_root(_squared_deviation(eigs), rho.dim, trace, "center_of_mass"),
         "bloch_norm": bloch_norm(to_bloch(rho)),
-        "visibility": visibility_f(spectrum.eigenvalues),
     }
     high = max(routes, key=routes.get)
     low = min(routes, key=routes.get)
@@ -293,30 +296,22 @@ def coherence_report(rho: DensityMatrix) -> CoherenceReport:
     except DegenerateDiagonalError:
         mu = 0.0
     enforce("mu_n against p_n", mu, routes["p_n"] + _REPORT_TOL)
-    decomposition = _pure_part(spectrum)
-    weight_sum = float(np.sum(decomposition.weights))
-    _, gap = pure_part_bound_check(decomposition, routes["p_n"])
+    # the pure weights, ascending: the centring shifts no eigenvalue difference
+    weights = eigs[1:] - eigs[0]
+    _, gap = _weight_bound(weights, routes["p_n"])
     enforce("p_n over pure weight sum", -gap, _REPORT_TOL)
-    report = CoherenceReport(
-        dim=rho.dim,
-        p_n=routes["p_n"],
-        frobenius_distance=routes["frobenius_distance"],
-        center_of_mass=routes["center_of_mass"],
-        bloch_norm=routes["bloch_norm"],
-        purity=purity(rho),
-        mu_in_given_basis=mu,
-        visibility=routes["visibility"],
-        pure_part_weight_sum=weight_sum,
-    )
-    for name, value in (
-        ("purity", report.purity),
-        ("mu_in_given_basis", mu),
-        ("pure_part_weight_sum", weight_sum),
-        *routes.items(),
-    ):
+    fields = {
+        **routes,
+        "frobenius_distance": routes["p_n"],
+        "visibility": routes["center_of_mass"],
+        "purity": purity(rho),
+        "mu_in_given_basis": mu,
+        "pure_part_weight_sum": float(np.sum(weights)),
+    }
+    for name, value in fields.items():
         enforce(f"field {name}", value, 1.0 + _REPORT_TOL)
         enforce(f"field {name} negated", -value, 0.0)
-    return report
+    return CoherenceReport(rho.dim, **fields)
 
 
 def max_route_discrepancy(report: CoherenceReport) -> float:

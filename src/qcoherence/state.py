@@ -47,6 +47,15 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _readonly(rows), _readonly(cols)
 
 
+def _square_matrix(n: int, make=np.empty) -> np.ndarray:
+    """``make((n, n), dtype=complex)``.  A size whose byte count passes
+    numpy's index range, which numpy refuses with ValueError, raises
+    MemoryError, as every other size that cannot be held does."""
+    if 16 * int(n) ** 2 > np.iinfo(np.intp).max:
+        raise MemoryError(f"Unable to allocate a {n} x {n} complex128 array: past the index range")
+    return make((n, n), dtype=complex)
+
+
 def _hermitian_part(arr: np.ndarray) -> tuple[np.ndarray, float]:
     """(arr + arr^H) / 2 as a new writable array, and the Hermiticity defect
     max|arr - arr^H|.  Both are made before any check, so an entry past
@@ -220,7 +229,7 @@ def random_state(dim: int, kind: str, seed: int, rank: int | None = None) -> Den
 
     rng = _seeded_rng(seed)
     # the result first, so that a size that cannot be held fails before any draw
-    mat = np.empty((dim, dim), dtype=complex)
+    mat = _square_matrix(dim)
     if kind == "haar_pure":
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         psi /= np.linalg.norm(psi)

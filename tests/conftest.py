@@ -25,17 +25,17 @@ settings.load_profile("tier1")
 
 @pytest.fixture
 def broken_weight_identity(monkeypatch):
-    """Make the shared pure-part split add 1e-8 to the first weight: the
-    weights then miss the identity beyond 1e-10, and still bound P_N."""
-    shared = measures._pure_part
+    """Make the shared weight check add 1e-8 to the first pure weight it
+    reads: the weights then miss the identity beyond 1e-10, and still bound
+    P_N."""
+    shared = measures._weight_bound
 
-    def off_identity(spectrum):
-        split = shared(spectrum)
-        weights = split.weights.copy()
+    def off_identity(weights, p):
+        weights = weights.copy()
         weights[0] += 1e-8
-        return measures.PurePartDecomposition(weights, split.pure_states, split.mixed_weight)
+        return shared(weights, p)
 
-    monkeypatch.setattr(measures, "_pure_part", off_identity)
+    monkeypatch.setattr(measures, "_weight_bound", off_identity)
 
 
 @pytest.fixture
@@ -93,18 +93,11 @@ def mu_above_p(monkeypatch):
 
 @pytest.fixture
 def negated_weights(monkeypatch):
-    """Negate every pure weight of the report's split.  The identity sees
-    only (sum s)^2 and the pair products, so it still holds; the gap
-    sum(s) - P becomes -2P at N=2, where the single weight is P."""
-    shared = measures._pure_part
-
-    def negated(spectrum):
-        split = shared(spectrum)
-        return measures.PurePartDecomposition(
-            -split.weights, split.pure_states, split.mixed_weight
-        )
-
-    monkeypatch.setattr(measures, "_pure_part", negated)
+    """Negate every pure weight that the report's weight check reads.  The
+    identity sees only (sum s)^2 and the pair products, so it still holds;
+    the gap sum(s) - P becomes -2P at N=2, where the single weight is P."""
+    shared = measures._weight_bound
+    monkeypatch.setattr(measures, "_weight_bound", lambda weights, p: shared(-weights, p))
 
 
 @pytest.fixture(

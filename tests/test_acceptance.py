@@ -39,7 +39,7 @@ def test_criterion_1_six_interpretation_equality():
     elapsed = time.monotonic() - started
     ok = worst <= 1e-9 and elapsed < 5.0
     assert _verdict(
-        "1 six-route equality",
+        "1 five-route equality, three computations",
         ok,
         f"max spread {worst:.2e} over 500 states, {elapsed:.1f}s",
     )

@@ -520,12 +520,14 @@ def test_fuzzed_family_flags_exit_0_or_2_without_traceback_or_warning(argv):
     [
         ["random", "--dim", "100000000", "--kind", "ginibre_mixed", "--seed", "1"],
         ["infdim", "--family", "geometric-oam", "--grid-d", "100000000"],
+        ["random", "--dim", "1000000000", "--kind", "ginibre_mixed", "--seed", "1"],
+        ["infdim", "--family", "thermal-cv", "--grid-d", "1000000000"],
     ],
-    ids=["random", "infdim"],
+    ids=["random", "infdim", "random-past-index-range", "infdim-past-index-range"],
 )
 def test_unallocatable_size_exit_2(argv, capsys):
     # each command's first allocation is its whole matrix, petabytes, so it
-    # fails at once
+    # fails at once; past about 7.6e8 rows numpy cannot even count its bytes
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -567,6 +569,28 @@ def test_lattice_unallocatable_size_exit_2_before_the_positions(monkeypatch, cap
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "5.68 PiB" in err and "complex128" in err
+    assert "Traceback" not in err
+
+
+def test_angle_unallocatable_size_exit_2_before_the_phases(monkeypatch, capsys):
+    # the angles alone would hold 8 GB and the phase matrix 112 GB; the
+    # samples, past numpy's index range, must fail before either.  A call is
+    # recorded and refused, so that a failing run stays small.
+    calls = []
+    shared = np.arange
+
+    def refused(*args, **kwargs):
+        if any(isinstance(arg, int) and arg >= 10**9 for arg in args):
+            calls.append(args)
+            raise MemoryError("angles refused")
+        return shared(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", refused)
+    argv = ["infdim", "--family", "geometric-oam", "--grid-d", "3", "--grid-m", "1000000000"]
+    assert main(argv) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate a 1000000000 x 1000000000 complex128 array")
     assert "Traceback" not in err
 
 

@@ -95,9 +95,9 @@ class TestUnvalidatedStates:
             qc.p2_determinant_form(rho)
 
     def test_capped(self):
-        # sqrt(2 * (1.5^2 + 0.5^2)) = sqrt(5)
-        rho = qc.DensityMatrix(2, np.diag([2.0, 0.0]).astype(complex))
-        with raises_gate("frobenius_distance: value "):
+        # t = 1 and the centred diagonal is (1.5, -1.5): sqrt(2 * 4.5) = 3
+        rho = qc.DensityMatrix(2, np.diag([2.0, -1.0]).astype(complex))
+        with raises_gate("p_n: value "):
             qc.frobenius_distance_measure(rho)
 
     @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qcoherence as qc
+from qcoherence import measures, state
 from qcoherence.measures import _mu_sums, _pair_product_sum, _squared_deviation
 
 SQRT_007 = np.sqrt(0.07)  # 0.2645751311064591
@@ -365,6 +366,23 @@ class TestCoherenceReport:
             assert qc.max_route_discrepancy(rep) < 1e-9
             assert rep.mu_in_given_basis <= rep.p_n + 1e-9
             assert rep.p_n <= rep.pure_part_weight_sum + 1e-9
+
+    def test_needs_no_eigenvectors(self, monkeypatch):
+        def refused(rho):
+            raise AssertionError("the report needs no eigenvectors")
+
+        expected = qc.coherence_report(ginibre(5, 77))
+        for module in (state, measures):
+            monkeypatch.setattr(module, "spectral_decompose", refused)
+        assert qc.coherence_report(ginibre(5, 77)) == expected
+
+    def test_shared_fields_are_one_computation(self):
+        for i in range(20):
+            rho = qc.random_state(2 + i % 7, ("ginibre_mixed", "haar_pure")[i % 2], 3100 + i)
+            rep = qc.coherence_report(rho)
+            assert rep.frobenius_distance == rep.p_n == qc.p_n(rho)
+            assert qc.frobenius_distance_measure(rho) == rep.p_n
+            assert rep.visibility == rep.center_of_mass == qc.visibility(rho)
 
     def test_broken_weight_identity_raises(self, broken_weight_identity):
         rho = qc.validate_density(DIAG_532)
