@@ -541,7 +541,11 @@ def _exact_weight_sum(rho):
     lo, hi = guess - radius, guess + radius
     while hi - lo > abs(guess) * Fraction(1, 10**15):
         mid = (lo + hi) / 2
-        if _count_below(c, mid) == 0:
+        below = _count_below(c, mid)
+        while below is None:  # a leading minor vanishes at mid: step off it
+            mid = (lo + mid) / 2
+            below = _count_below(c, mid)
+        if below == 0:
             lo = mid
         else:
             hi = mid
