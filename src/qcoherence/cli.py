@@ -23,11 +23,16 @@ from .errors import (
     InternalInvariantViolation,
     InvalidParameterError,
     ValidationError,
+    enforce,
 )
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
+
+# the exact routes of one infdim state agree to rounding; so does a closed
+# form with its truncated value, once the declared tail bound is allowed
+_INFDIM_TOL = 1e-12
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,11 +141,9 @@ def cmd_infdim(args) -> int:
     top_state = family.build(record, top if grid is None else grid)
     if grid is not None:
         payload["grid"] = {"d": grid.d, "p_max": grid.p_max, "hbar": grid.hbar}
-        steps = args.wigner_steps
-        payload["routes"] = {
+        routes = payload["routes"] = {
             "position": infdim.p_inf_cv(top_state),
             "momentum": infdim.p_inf_cv(infdim.convert_representation(top_state)),
-            "wigner": infdim.p_inf_wigner(infdim.wigner_from_cv(top_state, steps, steps), grid.hbar),
         }
     else:
         value, error_bound = infdim.p_inf_oam(top_state)
@@ -151,6 +154,17 @@ def cmd_infdim(args) -> int:
             trace = float(top_state.coefficients.trace().real)
             routes["angle"] = infdim.p_inf_angle(infdim.oam_to_angle(top_state, grid_m), trace)
         payload["error_bound"] = error_bound
+        closed_form = payload["closed_form"] = family.closed_form(record)
+        error = payload["closed_form_error"] = closed_form - value
+        enforce("infdim closed form error", abs(error), error_bound + _INFDIM_TOL)
+    high, low = max(routes, key=routes.get), min(routes, key=routes.get)
+    enforce(f"infdim route spread {high} - {low}", routes[high] - routes[low], _INFDIM_TOL)
+    if grid is not None:
+        # written after the gate and not gated: the interpolated route is not exact
+        steps = args.wigner_steps
+        routes["wigner"] = infdim.p_inf_wigner(
+            infdim.wigner_from_cv(top_state, steps, steps), grid.hbar
+        )
 
     ladder = payload["ladder"] = []
     for d in _ladder_rungs(top):

@@ -39,7 +39,7 @@ from .errors import (
     enforce,
 )
 from .state import (
-    _eigvalsh, _hermitian_part, _readonly, _require_finite_part, _square_matrix, as_complex_matrix
+    _complex_array, _eigvalsh, _hermitian_part, _readonly, _require_finite_part, as_complex_matrix
 )
 
 _HERMITICITY_TOL = 1e-12
@@ -306,9 +306,10 @@ class WignerSamples:
 def p_inf_oam(state: OamState | FockState) -> tuple[float, float]:
     """Square root of the truncated coefficient square-sum S, with the error
     bound t / (2 sqrt(S)) obtained by pushing the declared tail t through
-    the square root.  One body serves both bases: ``p_inf_fock`` is the
-    same function."""
-    total = float(np.sum(np.abs(state.coefficients) ** 2))
+    the square root.  S is ``vdot(c, c)``, the one square-sum form of every
+    P_inf route.  One body serves both bases: ``p_inf_fock`` is the same
+    function."""
+    total = float(np.vdot(state.coefficients, state.coefficients).real)
     if total <= 0.0:
         raise EmptyStateError(f"{state.label}: all coefficients are zero")
     value = math.sqrt(total)
@@ -321,29 +322,37 @@ p_inf_fock = p_inf_oam
 def oam_to_angle(state: OamState, grid_size: int) -> AngularCoherence:
     """Sample the angle-space coherence function of a band-limited state.
 
-    W(theta, theta') = (1/2pi) sum_{l,l'} c_{l l'} exp(i(l theta - l' theta')).
-    Requires grid_size >= 2(2D+1) so the band is resolved (the uniform-grid
-    quadrature of the resulting trigonometric polynomial is then exact).
+    W(theta_a, theta_b) = (1/2pi) sum_{l,l'} c_{l l'} exp(i(l theta_a - l' theta_b))
+    at theta_a = 2 pi a / M, M = grid_size.  The coefficients sit at the
+    centred indices l, l' of an M x M array, which is conjugated with the
+    lattice DFT by :func:`_conjugate_matrix`: its kernel
+    exp(2 pi i (a l - b l') / M) / M is periodic in a and b, so undoing the
+    output centring with ``ifftshift`` puts the sample of (a, b) at [a, b],
+    and the factor M / 2pi finishes the sum.  Requires grid_size >=
+    2(2D+1) so the band is resolved (the uniform-grid quadrature of the
+    resulting trigonometric polynomial is then exact).
     """
     band = 2 * state.cutoff + 1
     if grid_size < 2 * band:
         raise GridTooCoarseError(
             f"grid_size {grid_size} < {2 * band} cannot resolve the truncated band"
         )
-    # the samples first, so that a size that cannot be held fails before the angles
-    samples = _square_matrix(grid_size)
-    theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    phases = np.exp(1j * np.outer(theta, np.arange(-state.cutoff, state.cutoff + 1)))
-    np.divide(phases @ state.coefficients @ phases.conj().T, 2.0 * np.pi, out=samples)
+    # the samples first, so that a size that cannot be held fails before the transform
+    samples = _complex_array((grid_size, grid_size), np.zeros)
+    centre = slice(grid_size // 2 - state.cutoff, grid_size // 2 + state.cutoff + 1)
+    samples[centre, centre] = state.coefficients
+    samples = np.fft.ifftshift(_conjugate_matrix(samples, to_momentum=False))
+    samples *= grid_size / (2.0 * np.pi)
     return AngularCoherence(grid_size, samples)
 
 
 def p_inf_angle(w: AngularCoherence, trace: float = 1.0) -> float:
-    """Uniform-grid quadrature of the double angle integral of |W|^2,
-    square-rooted; rejects samples whose trace quadrature misses ``trace``
-    by more than 1e-6.  A truncated state's samples integrate to its
-    coefficient trace, 1 less its discarded mass, and the quadrature
-    reproduces that trace exactly once the grid resolves the band."""
+    """Uniform-grid quadrature of the double angle integral of |W|^2, the
+    square sum ``vdot(W, W)`` times the squared weight, square-rooted;
+    rejects samples whose trace quadrature misses ``trace`` by more than
+    1e-6.  A truncated state's samples integrate to its coefficient trace,
+    1 less its discarded mass, and the quadrature reproduces that trace
+    exactly once the grid resolves the band."""
     m = w.grid_size
     weight = 2.0 * np.pi / m
     quadrature = weight * float(np.sum(w.samples.diagonal().real))
@@ -351,7 +360,7 @@ def p_inf_angle(w: AngularCoherence, trace: float = 1.0) -> float:
         raise NotNormalizedError(
             f"trace quadrature {quadrature:.8f} misses {trace:.8g} beyond {_ANGLE_NORM_TOL}"
         )
-    return math.sqrt(weight * weight * float(np.sum(np.abs(w.samples) ** 2)))
+    return math.sqrt(weight * weight * float(np.vdot(w.samples, w.samples).real))
 
 
 def build_cv_grid(d: int, p_max: float, hbar: float = 1.0) -> CvGrid:
@@ -360,19 +369,23 @@ def build_cv_grid(d: int, p_max: float, hbar: float = 1.0) -> CvGrid:
 
 
 def p_inf_cv(state: CvState) -> float:
-    """Square root of the squared Frobenius mass of the lattice state; the
-    Riemann-sum form of the double kernel integral, identical in either
-    representation because the basis change is unitary."""
-    return math.sqrt(float(np.sum(np.abs(state.matrix) ** 2)))
+    """Square root of the squared Frobenius mass ``vdot(M, M)`` of the
+    lattice state; the Riemann-sum form of the double kernel integral,
+    identical in either representation because the basis change is
+    unitary."""
+    return math.sqrt(float(np.vdot(state.matrix, state.matrix).real))
 
 
 def _conjugate_matrix(matrix: np.ndarray, to_momentum: bool) -> np.ndarray:
-    """F M F^H (to_momentum) or F^H M F, with F the centred lattice DFT of
-    :meth:`CvGrid.position_to_momentum_matrix`, by FFT along each axis.
+    """F M F^H (to_momentum) or F^H M F, with F the centred n-point DFT
+    F_jm = exp(-2 pi i j m / n) / sqrt(n), by FFT along each axis; for the
+    lattice, n = 2D+1 and F is :meth:`CvGrid.position_to_momentum_matrix`.
 
-    The shifts map the centred index range [-D, D] onto numpy's [0, 2D]
-    layout; the kernel exp(-2 pi i j m / (2D+1)) is periodic in both
-    indices, so the result equals the dense product up to rounding.
+    The centred indices run over [-(n//2), n - 1 - n//2], that is [-D, D]
+    for odd n = 2D+1 and [-n/2, n/2 - 1] for even n, held at array position
+    index + n//2.  The shifts map that range onto numpy's [0, n - 1]
+    layout and back; the kernel is periodic in both indices, so the result
+    equals the dense product up to rounding for either parity.
     """
     forward, backward = (np.fft.fft, np.fft.ifft) if to_momentum else (np.fft.ifft, np.fft.fft)
     shifted = np.fft.ifftshift(matrix)
@@ -454,7 +467,9 @@ def wigner_from_cv(
     terms doubled.  One bilinear gather of G reaches only the (row, lag)
     pairs that stay on the lattice, and two real products with shared
     cos(2yp/hbar) and sin(2yp/hbar) matrices finish the sum.  Transient
-    memory is O(x_steps * (2D+1)).
+    memory is O(x_steps * (2D+1)).  The (x_steps, 2D+1) lag matrix is
+    allocated first, after the parameter checks, so an ``x_steps`` too large
+    to hold raises MemoryError before the axes and the lag mask exist.
     """
     if state.representation != "position":
         raise GridMismatchError("phase-space sampling needs the position representation")
@@ -472,6 +487,9 @@ def wigner_from_cv(
         raise InvalidParameterError(
             f"spans must lie in (0, {x_max:.6g}] x (0, {grid.p_max:.6g}]"
         )
+    # the lag matrix first, so that a size that cannot be held fails before
+    # the axes and the lag mask
+    g = _complex_array((x_steps, 2 * grid.d + 1), np.zeros)
     xs = np.linspace(-x_span, x_span, x_steps)
     ps = np.linspace(-p_span, p_span, p_steps)
     dy = grid.dx / 2.0
@@ -493,7 +511,6 @@ def wigner_from_cv(
     # division by a real would multiply by the reciprocal at greater cost
     herm = (state.matrix.view(float) / grid.dx).view(complex).ravel()
     flat = i_fwd * n + i_bwd
-    g = np.zeros((x_steps, k.size), dtype=complex)
     g[rows, lags] = (
         herm[flat] * (1.0 - w_fwd) * (1.0 - w_bwd)
         + herm[flat + n] * w_fwd * (1.0 - w_bwd)
@@ -509,9 +526,9 @@ def wigner_from_cv(
 
 
 def p_inf_wigner(w: WignerSamples, hbar: float) -> float:
-    """Uniform quadrature of 2*pi*hbar times the squared phase-space
-    samples, square-rooted; rejects sample sets whose normalisation misses
-    1 by more than 1e-2."""
+    """Uniform quadrature of 2*pi*hbar times the square sum ``vdot(W, W)``
+    of the phase-space samples, square-rooted; rejects sample sets whose
+    normalisation misses 1 by more than 1e-2."""
     if not (hbar > 0.0 and math.isfinite(hbar)):
         raise InvalidParameterError("hbar must be a positive real")
     cell = w.dx * w.dp
@@ -520,7 +537,7 @@ def p_inf_wigner(w: WignerSamples, hbar: float) -> float:
         raise NotNormalizedError(
             f"phase-space normalisation {norm:.8f} misses 1 beyond {_WIGNER_NORM_TOL:.0e}"
         )
-    return math.sqrt(2.0 * np.pi * hbar * cell * float(np.sum(w.values**2)))
+    return math.sqrt(2.0 * np.pi * hbar * cell * float(np.vdot(w.values, w.values).real))
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +552,7 @@ def geometric_oam(q: float, cutoff: int) -> OamState:
     if cutoff < 0:
         raise InvalidParameterError("cutoff must be >= 0")
     size = 2 * cutoff + 1
-    mat = _square_matrix(size, np.zeros)
+    mat = _complex_array((size, size), np.zeros)
     for l in range(cutoff + 1):
         mat[l + cutoff, l + cutoff] = (1.0 - q) * q**l
     return OamState(cutoff, mat, q ** (cutoff + 1))
@@ -567,7 +584,7 @@ def thermal_fock(nbar: float, cutoff: int) -> FockState:
     if cutoff < 0:
         raise InvalidParameterError("cutoff must be >= 0")
     # the matrix first, so that a size that cannot be held fails before the weights
-    mat = _square_matrix(cutoff + 1, np.zeros)
+    mat = _complex_array((cutoff + 1, cutoff + 1), np.zeros)
     ratio = nbar / (nbar + 1.0)
     np.fill_diagonal(mat, ratio ** np.arange(cutoff + 1) / (nbar + 1.0))
     return FockState(cutoff, mat, ratio ** (cutoff + 1))
@@ -604,7 +621,7 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockState:
     except OverflowError:
         raise InvalidParameterError("|alpha|^2 must be a finite real") from None
     # the matrix first, so that a size that cannot be held fails before the loop
-    mat = _square_matrix(cutoff + 1)
+    mat = _complex_array((cutoff + 1, cutoff + 1))
     amps = np.zeros(cutoff + 1, dtype=complex)
     amps[0] = math.exp(-mean / 2.0)
     for n in range(1, cutoff + 1):
@@ -637,7 +654,7 @@ def gaussian_cv(grid: CvGrid, sigma_x: float, x0: float = 0.0, p0: float = 0.0) 
     _require_finite(reach * reach / (4.0 * var), term)
     _require_finite(p0 * reach / grid.hbar, f"p0 (x - x0) / hbar, p0 {p0!r}")
     # the matrix first, so that a size that cannot be held fails before the lattice
-    mat = _square_matrix(grid.size)
+    mat = _complex_array((grid.size, grid.size))
     x = grid.positions()
     psi = (2.0 * np.pi * sigma_x**2) ** (-0.25) * np.exp(
         -((x - x0) ** 2) / (4.0 * sigma_x**2) + 1j * p0 * (x - x0) / grid.hbar
@@ -658,13 +675,13 @@ def thermal_cv(grid: CvGrid, nbar: float) -> CvState:
     term = f"(2 nbar + 1) (x - x')^2 / (4 hbar), nbar {nbar!r}"
     _require_finite(s * (span * span) / (4.0 * hbar), term)
     # the matrix first, so that a size that cannot be held fails before the lattice
-    mat = _square_matrix(grid.size)
+    mat = _complex_array((grid.size, grid.size))
     x = grid.positions()
-    fwd, bwd = np.meshgrid(x, x, indexing="ij")
+    plus, minus = np.add.outer(x, x), np.subtract.outer(x, x)
     kernel = (
         1.0
         / math.sqrt(np.pi * hbar * s)
-        * np.exp(-((fwd + bwd) ** 2) / (4.0 * hbar * s) - s * (fwd - bwd) ** 2 / (4.0 * hbar))
+        * np.exp(-(plus**2) / (4.0 * hbar * s) - s * minus**2 / (4.0 * hbar))
     )
     np.multiply(kernel, grid.dx, out=mat)
     return CvState(grid, "position", mat)
@@ -679,21 +696,27 @@ class Family(NamedTuple):
     from the ``infdim`` command's options; ``build(record, support)`` makes
     the state over a band cutoff, or over a :class:`CvGrid` for a lattice
     family.  The lambdas below find the constructors among this module's
-    globals at call time, so one replaced on the module is called."""
+    globals at call time, so one replaced on the module is called.
+    ``closed_form(record)`` is P_inf of the untruncated state, given for the
+    band families, whose declared tail bounds the distance to it."""
 
     parameters: Callable[[Any], dict]
     build: Callable[[dict, Any], OamState | FockState | CvState]
     lattice: bool = False
+    closed_form: Callable[[dict], float] | None = None
 
 
 FAMILIES = {
     "geometric-oam": Family(lambda o: {"q": o.q, "cutoff": o.grid_d},
-                            lambda r, cutoff: geometric_oam(r["q"], cutoff)),
+                            lambda r, cutoff: geometric_oam(r["q"], cutoff),
+                            closed_form=lambda r: math.sqrt((1.0 - r["q"]) / (1.0 + r["q"]))),
     "thermal-fock": Family(lambda o: {"nbar": o.nbar, "cutoff": o.grid_d},
-                           lambda r, cutoff: thermal_fock(r["nbar"], cutoff)),
+                           lambda r, cutoff: thermal_fock(r["nbar"], cutoff),
+                           closed_form=lambda r: 1.0 / math.sqrt(2.0 * r["nbar"] + 1.0)),
     "coherent-fock": Family(
         lambda o: {"alpha_re": o.alpha_re, "alpha_im": o.alpha_im, "cutoff": o.grid_d},
         lambda r, cutoff: coherent_fock(complex(r["alpha_re"], r["alpha_im"]), cutoff),
+        closed_form=lambda r: 1.0,  # a coherent state is pure
     ),
     "gaussian-cv": Family(  # sigma_x defaults to the vacuum width sqrt(hbar / 2)
         lambda o: {"sigma_x": math.sqrt(o.hbar / 2.0) if o.sigma_x is None else o.sigma_x,

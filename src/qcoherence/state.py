@@ -12,6 +12,7 @@ threads.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +48,14 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _readonly(rows), _readonly(cols)
 
 
-def _square_matrix(n: int, make=np.empty) -> np.ndarray:
-    """``make((n, n), dtype=complex)``.  A size whose byte count passes
+def _complex_array(shape: tuple[int, ...], make=np.empty) -> np.ndarray:
+    """``make(shape, dtype=complex)``.  A shape whose byte count passes
     numpy's index range, which numpy refuses with ValueError, raises
-    MemoryError, as every other size that cannot be held does."""
-    if 16 * int(n) ** 2 > np.iinfo(np.intp).max:
-        raise MemoryError(f"Unable to allocate a {n} x {n} complex128 array: past the index range")
-    return make((n, n), dtype=complex)
+    MemoryError, as every other shape that cannot be held does."""
+    if 16 * math.prod(int(n) for n in shape) > np.iinfo(np.intp).max:
+        dims = " x ".join(str(n) for n in shape)
+        raise MemoryError(f"Unable to allocate a {dims} complex128 array: past the index range")
+    return make(shape, dtype=complex)
 
 
 def _hermitian_part(arr: np.ndarray) -> tuple[np.ndarray, float]:
@@ -229,7 +231,7 @@ def random_state(dim: int, kind: str, seed: int, rank: int | None = None) -> Den
 
     rng = _seeded_rng(seed)
     # the result first, so that a size that cannot be held fails before any draw
-    mat = _square_matrix(dim)
+    mat = _complex_array((dim, dim))
     if kind == "haar_pure":
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         psi /= np.linalg.norm(psi)

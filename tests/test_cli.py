@@ -554,7 +554,7 @@ def test_coherent_fock_unallocatable_size_exit_2_before_the_amplitudes(monkeypat
 
 @pytest.mark.parametrize("family", ["gaussian-cv", "thermal-cv"])
 def test_lattice_unallocatable_size_exit_2_before_the_positions(monkeypatch, capsys, family):
-    # the positions, and the amplitudes or meshgrid built on them, would hold
+    # the positions, and the amplitudes or outer sums built on them, would hold
     # hundreds of megabytes; the 5.68 PiB matrix must fail before them.  A
     # call is recorded and refused, so that a failing run stays small.
     calls = []
@@ -592,6 +592,48 @@ def test_angle_unallocatable_size_exit_2_before_the_phases(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate a 1000000000 x 1000000000 complex128 array")
     assert "Traceback" not in err
+
+
+def test_wigner_unallocatable_steps_exit_2_before_the_axes(monkeypatch, capsys):
+    # the axes alone would hold 8 GB each and the lag mask 513 GB; the 8.2 TB
+    # lag matrix must fail before them.  A call is recorded and refused, so
+    # that a failing run stays small.
+    calls = []
+    shared = np.linspace
+
+    def refused(*args, **kwargs):
+        if any(isinstance(arg, int) and arg >= 10**9 for arg in args):
+            calls.append(args)
+            raise MemoryError("axes refused")
+        return shared(*args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", refused)
+    argv = ["infdim", "--family", "thermal-cv", "--grid-d", "256", "--p-max", "16",
+            "--wigner-steps", "1000000000"]
+    assert main(argv) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 7.47 TiB for an array with shape (1000000000, 513)")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "family, options",
+    [
+        ("coherent-fock", ["--alpha-re", "3.0", "--grid-d", "12"]),
+        ("thermal-fock", ["--nbar", "5.0", "--grid-d", "20"]),
+        ("geometric-oam", ["--q", "0.9", "--grid-d", "64"]),
+    ],
+)
+def test_closed_form_error_within_the_declared_bound(tmp_path, family, options):
+    # coherent-fock at alpha 3 truncated at 12 sits at 0.124 of a 0.161 bound
+    out_file = tmp_path / "inf.json"
+    assert main(["infdim", "--family", family, *options, "--output", str(out_file)]) == 0
+    result = json.loads(out_file.read_text())
+    assert list(result)[4:7] == ["error_bound", "closed_form", "closed_form_error"]
+    value = result["routes"]["oam" if family == "geometric-oam" else "fock"]
+    assert result["closed_form_error"] == result["closed_form"] - value
+    assert 0.0 < result["closed_form_error"] <= result["error_bound"]
 
 
 class TestRepeatedCalls:

@@ -1,6 +1,7 @@
 """Every invariant gate that an upstream fault can reach, driven past its
-limit by one perturbed quantity (the fixtures in ``conftest.py``, or a
-state built without validation).  The library raises
+limit by one perturbed quantity (the fixtures in ``conftest.py``, a
+state built without validation, or an ``infdim`` route or closed form
+patched on the module).  The library raises
 InternalInvariantViolation with the gate's message prefix; where the gate
 is on a CLI path, the command exits 3 with ``internal error: `` and no
 traceback.  ``gate_sweep.py`` checks that each gate has such a test."""
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import qcoherence as qc
-from qcoherence import jsonio
+from qcoherence import infdim, jsonio
 from qcoherence.cli import main
 from qcoherence.errors import enforce
 
@@ -26,7 +27,11 @@ def raises_gate(prefix):
 def run_exit_3(tmp_path, capsys, argv, matrix, prefix):
     state_file = tmp_path / "state.json"
     state_file.write_text(jsonio.dumps_state(qc.validate_density(matrix)))
-    assert main([argv[0], "--input", str(state_file), *argv[1:]]) == 3
+    assert_exit_3(capsys, [argv[0], "--input", str(state_file), *argv[1:]], prefix)
+
+
+def assert_exit_3(capsys, argv, prefix):
+    assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: " + prefix)
     assert "Traceback" not in err
@@ -124,3 +129,46 @@ class TestSearchCeiling:
         run_exit_3(
             tmp_path, capsys, ["maximize", "--budget", "10"], DIAG_532, "mu_n: evaluated value "
         )
+
+
+class TestInfdimRouteSpread:
+    def test_oam_and_angle_exit_3(self, capsys, monkeypatch):
+        shared = infdim.p_inf_angle
+        monkeypatch.setattr(infdim, "p_inf_angle", lambda *args: shared(*args) * (1.0 + 1e-9))
+        argv = ["infdim", "--family", "geometric-oam", "--grid-d", "16"]
+        assert_exit_3(capsys, argv, "infdim route spread angle - oam ")
+
+    @pytest.mark.parametrize("family", ["thermal-cv", "gaussian-cv"])
+    def test_position_and_momentum_exit_3(self, capsys, monkeypatch, family):
+        # scaling the momentum matrix instead would fail its trace check,
+        # exit 2; at its defaults thermal-cv fails the Wigner route's
+        # normalisation, exit 2, which is computed after the gate
+        shared = infdim.p_inf_cv
+
+        def scaled(state):
+            value = shared(state)
+            return value * (1.0 + 1e-9) if state.representation == "momentum" else value
+
+        monkeypatch.setattr(infdim, "p_inf_cv", scaled)
+        assert_exit_3(capsys, ["infdim", "--family", family],
+                      "infdim route spread momentum - position ")
+
+
+class TestInfdimTailBound:
+    """A closed form 1e-6 off, on commands whose declared bound is below
+    4e-13."""
+
+    @pytest.mark.parametrize(
+        "family, options",
+        [
+            ("geometric-oam", ["--q", "0.5", "--grid-d", "60"]),
+            ("thermal-fock", ["--nbar", "1.0", "--grid-d", "40"]),
+            ("coherent-fock", ["--alpha-re", "1.0", "--alpha-im", "0.5", "--grid-d", "40"]),
+        ],
+    )
+    def test_cli_exit_3(self, capsys, monkeypatch, family, options):
+        shared = infdim.FAMILIES[family]
+        moved = shared._replace(closed_form=lambda record: shared.closed_form(record) + 1e-6)
+        monkeypatch.setitem(infdim.FAMILIES, family, moved)
+        assert_exit_3(capsys, ["infdim", "--family", family, *options],
+                      "infdim closed form error ")

@@ -480,9 +480,9 @@ def test_cross_formalism_thermal_consistency():
 
 
 # ---------------------------------------------------------------------------
-# reference oracles for the lattice transforms: the per-row Wigner quadrature
-# and the dense centred-DFT products, kept as the plain forms of what the
-# library computes
+# reference oracles for the lattice and angle transforms: the per-row Wigner
+# quadrature, the dense centred-DFT products and the dense angle phase
+# matrix, kept as the plain forms of what the library computes
 
 
 def _wigner_rows_oracle(state, x_steps, p_steps, x_span=None, p_span=None):
@@ -525,6 +525,12 @@ def _dense_conversion_oracle(state):
     if state.representation == "position":
         return f @ state.matrix @ f.conj().T
     return f.conj().T @ state.matrix @ f
+
+
+def _dense_angle_oracle(state, grid_size):
+    theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    phases = np.exp(1j * np.outer(theta, np.arange(-state.cutoff, state.cutoff + 1)))
+    return phases @ state.coefficients @ phases.conj().T / (2.0 * np.pi)
 
 
 def _random_lattice_matrix(d, seed, rank=3):
@@ -589,6 +595,63 @@ class TestLatticeOracles:
         converted = qc.convert_representation(state)
         assert converted.representation != representation
         assert np.max(np.abs(converted.matrix - _dense_conversion_oracle(state))) <= 1e-12
+
+
+class TestAngleOracle:
+    """``oam_to_angle`` conjugates the centred coefficients with the lattice
+    DFT; the dense phase-matrix products are its oracle, at the smallest
+    grid that resolves the band, the next (odd) size and 512."""
+
+    @pytest.mark.parametrize("cutoff", (0, 1, 7, 60))
+    @pytest.mark.parametrize("size", ("minimum", "odd", 512))
+    def test_matches_dense_oracle(self, cutoff, size):
+        band = 2 * cutoff + 1
+        grid_size = {"minimum": 2 * band, "odd": 2 * band + 1}.get(size, size)
+        state = qc.OamState(cutoff, _random_lattice_matrix(cutoff, 300 + cutoff), 0.0)
+        samples = qc.oam_to_angle(state, grid_size).samples
+        assert np.max(np.abs(samples - _dense_angle_oracle(state, grid_size))) <= 1e-12
+
+    @pytest.mark.parametrize("grid_size", (18, 19, 512))
+    def test_mode_superposition_matches_dense_oracle(self, grid_size):
+        state = qc.oam_mode_superposition({-4: 1.0, -1: 0.5j, 2: -0.7 + 0.2j}, 4)
+        samples = qc.oam_to_angle(state, grid_size).samples
+        assert np.max(np.abs(samples - _dense_angle_oracle(state, grid_size))) <= 1e-12
+
+
+SQUARE_SUM_ROUTES = ("oam", "fock", "angle", "position", "momentum", "wigner")
+
+
+@pytest.fixture(scope="module")
+def square_sums():
+    """Each route's value, the array whose squares it sums, and the weight
+    of that sum, on the README's states."""
+    oam = qc.geometric_oam(0.9, 60)
+    fock = qc.coherent_fock(1.0 + 0.5j, 40)
+    angle = qc.oam_to_angle(qc.geometric_oam(0.5, 60), 512)
+    thermal = qc.thermal_cv(qc.build_cv_grid(256, 16.0), 1.0)
+    momentum = qc.convert_representation(thermal)
+    wigner = qc.wigner_from_cv(thermal, 241, 241)
+    return {
+        "oam": (qc.p_inf_oam(oam)[0], oam.coefficients, 1.0),
+        "fock": (qc.p_inf_fock(fock)[0], fock.coefficients, 1.0),
+        "angle": (qc.p_inf_angle(angle), angle.samples, (2.0 * np.pi / 512) ** 2),
+        "position": (qc.p_inf_cv(thermal), thermal.matrix, 1.0),
+        "momentum": (qc.p_inf_cv(momentum), momentum.matrix, 1.0),
+        "wigner": (qc.p_inf_wigner(wigner, 1.0), wigner.values, 2.0 * np.pi * wigner.dx * wigner.dp),
+    }
+
+
+@pytest.mark.parametrize("route", SQUARE_SUM_ROUTES)
+def test_square_sum_matches_elementwise_form(square_sums, route):
+    """Every P_inf route sums its squares as ``vdot(x, x)``.  The BLAS dot
+    product accumulates in a few running sums, so on the 2.6e5 entries of a
+    512^2 angle grid or a 513^2 lattice it sits up to 5e-15 relative from
+    the exact square sum, where the pairwise ``np.sum`` sits within 2e-16
+    (both measured against a rational sum); each route must agree with the
+    element-wise form within 1e-14 relative."""
+    value, x, weight = square_sums[route]
+    reference = np.sqrt(weight * np.sum(np.abs(x) ** 2))
+    assert abs(value - reference) <= 1e-14 * reference
 
 
 @settings(max_examples=40, deadline=None)

@@ -260,3 +260,11 @@ class TestRandomState:
     def test_seed_not_a_non_negative_integer(self, kind, seed):
         with pytest.raises(qc.InvalidParameterError, match="seed"):
             qc.random_state(2, kind, seed)
+
+
+def test_complex_array_past_the_index_range_raises_memory_error():
+    # the lag matrix of 1e16 Wigner rows on a d=256 lattice; numpy itself
+    # refuses such a shape with ValueError
+    with pytest.raises(MemoryError, match="^Unable to allocate a 10000000000000000 x 513 "):
+        qc.state._complex_array((10**16, 513))
+    assert qc.state._complex_array((2, 3), np.zeros).shape == (2, 3)
