@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, enforce
-from .measures import _mu_sums, _spread, _squared_deviation, p_n, visibility
+from .measures import _mu_sums, _rotated_diagonal, _spread, _squared_deviation, p_n, visibility
 from .state import (
     DensityMatrix,
     Spectrum,
@@ -99,25 +99,16 @@ def haar_unitary(dim: int, seed: int) -> np.ndarray:
 def equalizing_basis(rho: DensityMatrix) -> np.ndarray:
     """Unitary whose basis gives the conjugated state a uniform diagonal.
 
-    Columns are the eigenvectors composed with the discrete Fourier unitary;
-    every diagonal entry of the conjugated state is then exactly 1/N, the
-    configuration that maximises the basis-dependent degree of coherence.
+    Columns are the eigenvectors composed with the discrete Fourier unitary
+    F_jk = exp(2 pi i j k / N) / sqrt(N), an inverse DFT of each row; every
+    diagonal entry of the conjugated state is then 1/N, the configuration
+    that maximises the basis-dependent degree of coherence.
     """
     return _readonly(_equalizing(spectral_decompose(rho)))
 
 
 def _equalizing(spectrum: Spectrum) -> np.ndarray:
-    n = spectrum.eigenvalues.size
-    idx = np.arange(n)
-    fourier = np.exp(2j * np.pi * np.outer(idx, idx) / n) / math.sqrt(n)
-    return spectrum.eigenvectors @ fourier
-
-
-def _rotated_diagonal(
-    a: float, b: float, w: complex, c: float, s: float
-) -> tuple[float, float]:
-    x = 2.0 * c * s * w.real
-    return c * c * a + s * s * b + x, s * s * a + c * c * b - x
+    return np.fft.ifft(spectrum.eigenvectors, axis=1, norm="ortho")
 
 
 class _MuScore:

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooSmallError, WrongDimensionError, enforce
-from .state import DEFAULT_TOLERANCE, DensityMatrix, _pairs, _readonly, validate_density
+from .state import (
+    DEFAULT_TOLERANCE, DensityMatrix, _pairs, _readonly, _square_sum, validate_density
+)
 
 _IMAG_RESIDUE_TOL = 1e-12
 
@@ -70,8 +72,7 @@ def to_bloch(rho: DensityMatrix) -> BlochVector:
     residues = np.abs(comps.imag)
     worst = int(residues.argmax())
     enforce(_residue_name(rows, cols, worst), residues[worst], _IMAG_RESIDUE_TOL)
-    # a contiguous copy: np.dot on the strided .real view may sum in
-    # another order, and the report's Bloch norm must not move
+    # a contiguous copy of the strided .real view, so the vector is one array
     return BlochVector(n, _readonly(comps.real))
 
 
@@ -114,5 +115,4 @@ def bloch_norm(vec: BlochVector) -> float:
     For a vector obtained from a valid state this equals the
     basis-independent degree of coherence of that state.
     """
-    comps = vec.components
-    return math.sqrt(float(np.dot(comps, comps)))
+    return math.sqrt(_square_sum(vec.components))

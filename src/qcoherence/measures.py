@@ -31,7 +31,9 @@ from .errors import (
     WrongDimensionError,
     enforce,
 )
-from .state import DensityMatrix, Spectrum, _eigvalsh, _pairs, _readonly, purity, spectral_decompose
+from .state import (
+    DensityMatrix, Spectrum, _eigvalsh, _pairs, _readonly, _square_sum, purity, spectral_decompose
+)
 
 _CLAMP = 1e-9
 _MU_CLAMP = 1e-12
@@ -88,6 +90,11 @@ def _spread_root(squares: float, n: int, total: float, context: str) -> float:
     return _capped(_clamped_sqrt(_spread(squares, n, total), context), context)
 
 
+def _eigenvalue_spread(eigs: np.ndarray, total: float) -> float:
+    """Center-of-mass distance, and maximal visibility, of eigenvalues of total ``total``."""
+    return _spread_root(_squared_deviation(eigs), eigs.size, total, "center_of_mass")
+
+
 def _centred(rho: DensityMatrix) -> tuple[np.ndarray, float]:
     """rho - (t/N) I and the trace t."""
     trace = rho.entries.trace().real
@@ -135,7 +142,7 @@ def p_n(rho: DensityMatrix) -> float:
     I/N, so ``frobenius_distance_measure`` is this function.
     """
     centred, trace = _centred(rho)
-    return _spread_root(float(np.vdot(centred, centred).real), rho.dim, trace, "p_n")
+    return _spread_root(_square_sum(centred), rho.dim, trace, "p_n")
 
 
 def p2_determinant_form(rho: DensityMatrix) -> float:
@@ -153,8 +160,7 @@ frobenius_distance_measure = p_n
 def center_of_mass_distance(spectrum: Spectrum) -> float:
     """Distance to the center of mass of point masses equal to the
     eigenvalues, placed on the vertices of a regular simplex."""
-    lam = spectrum.eigenvalues
-    return _spread_root(_squared_deviation(lam), lam.size, float(np.sum(lam)), "center_of_mass")
+    return _eigenvalue_spread(spectrum.eigenvalues, float(np.sum(spectrum.eigenvalues)))
 
 
 def mu_n(rho: DensityMatrix) -> float:
@@ -173,6 +179,13 @@ def mu_n(rho: DensityMatrix) -> float:
     return _capped(math.sqrt(max(numerator, 0.0) / denominator), "mu_n", _MU_CLAMP)
 
 
+def _rotated_diagonal(a: float, b: float, w: complex, c: float, s: float) -> tuple[float, float]:
+    """Diagonal of the 2x2 block [[a, w], [conj(w), b]] turned by the
+    rotation of cosine ``c`` and sine ``s``; 2cs Re(w) is the cross term."""
+    x = 2.0 * c * s * w.real
+    return c * c * a + s * s * b + x, s * s * a + c * c * b - x
+
+
 def interference_2d(rho: DensityMatrix, delta: float, theta: float) -> tuple[float, float]:
     """Two-port detection probabilities after a relative phase ``delta`` and
     a rotation ``theta`` applied to a two-dimensional state.
@@ -185,16 +198,8 @@ def interference_2d(rho: DensityMatrix, delta: float, theta: float) -> tuple[flo
     if rho.dim != 2:
         raise WrongDimensionError(f"interference needs dim 2, got {rho.dim}")
     m = rho.entries
-    r11 = m[0, 0].real
-    r22 = m[1, 1].real
-    amp = abs(m[0, 1])
-    beta = cmath.phase(m[0, 1])
-    c = math.cos(theta)
-    s = math.sin(theta)
-    cross = 2.0 * amp * s * c * math.cos(beta + delta)
-    i1 = r11 * c * c + r22 * s * s + cross
-    i2 = r11 * s * s + r22 * c * c - cross
-    return i1, i2
+    w = complex(m[0, 1]) * cmath.exp(1j * delta)
+    return _rotated_diagonal(m[0, 0].real, m[1, 1].real, w, math.cos(theta), math.sin(theta))
 
 
 def visibility_f(probs) -> float:
@@ -224,7 +229,7 @@ def visibility(rho: DensityMatrix) -> float:
     bases: the spread function evaluated on the eigenvalues, which majorize
     every achievable probability vector; one value with the center of mass."""
     centred, trace = _centred(rho)
-    return _spread_root(_squared_deviation(_eigvalsh(centred)), rho.dim, trace, "center_of_mass")
+    return _eigenvalue_spread(_eigvalsh(centred), trace)
 
 
 def pure_part_decomposition(rho: DensityMatrix) -> PurePartDecomposition:
@@ -285,7 +290,7 @@ def coherence_report(rho: DensityMatrix) -> CoherenceReport:
     eigs = _eigvalsh(centred)
     routes = {
         "p_n": p_n(rho),
-        "center_of_mass": _spread_root(_squared_deviation(eigs), rho.dim, trace, "center_of_mass"),
+        "center_of_mass": _eigenvalue_spread(eigs, trace),
         "bloch_norm": bloch_norm(to_bloch(rho)),
     }
     high = max(routes, key=routes.get)

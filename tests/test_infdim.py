@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qcoherence as qc
-from qcoherence import infdim, jsonio
+from qcoherence import infdim, jsonio, measures
 
 INV_SQRT3 = 1 / np.sqrt(3)
 
@@ -28,6 +29,14 @@ class TestOamStates:
         assert abs(value - np.sqrt((1 - q) / (1 + q))) < 1e-6
         assert error < 1e-15
         assert state.declared_tail_bound == q**61
+
+    @pytest.mark.parametrize("q", (0.5, 0.9))
+    def test_geometric_weights_match_per_mode_loop(self, q):
+        """The one array fill of the mode weights against a per-mode loop."""
+        loop = np.zeros((121, 121), dtype=complex)
+        for mode in range(61):
+            loop[mode + 60, mode + 60] = (1.0 - q) * q**mode
+        assert_allclose(qc.geometric_oam(q, 60).coefficients, loop, rtol=1e-15, atol=0.0)
 
     def test_uniform_band(self):
         d = 50
@@ -618,40 +627,50 @@ class TestAngleOracle:
         assert np.max(np.abs(samples - _dense_angle_oracle(state, grid_size))) <= 1e-12
 
 
-SQUARE_SUM_ROUTES = ("oam", "fock", "angle", "position", "momentum", "wigner")
+SQUARE_SUM_ROUTES = ("oam", "fock", "angle", "position", "momentum", "wigner", "p_n", "purity")
 
 
 @pytest.fixture(scope="module")
 def square_sums():
-    """Each route's value, the array whose squares it sums, and the weight
-    of that sum, on the README's states."""
+    """Each route's value, the array whose squares it sums, and the map from
+    that square sum to the value, on the README's states and an N=64
+    Ginibre state."""
     oam = qc.geometric_oam(0.9, 60)
     fock = qc.coherent_fock(1.0 + 0.5j, 40)
     angle = qc.oam_to_angle(qc.geometric_oam(0.5, 60), 512)
     thermal = qc.thermal_cv(qc.build_cv_grid(256, 16.0), 1.0)
     momentum = qc.convert_representation(thermal)
     wigner = qc.wigner_from_cv(thermal, 241, 241)
+    rho = qc.random_state(64, "ginibre_mixed", 3)
+    centred, trace = measures._centred(rho)
+
+    def root(weight):
+        return lambda total: math.sqrt(weight * total)
+
+    cell = 2.0 * np.pi * wigner.dx * wigner.dp
     return {
-        "oam": (qc.p_inf_oam(oam)[0], oam.coefficients, 1.0),
-        "fock": (qc.p_inf_fock(fock)[0], fock.coefficients, 1.0),
-        "angle": (qc.p_inf_angle(angle), angle.samples, (2.0 * np.pi / 512) ** 2),
-        "position": (qc.p_inf_cv(thermal), thermal.matrix, 1.0),
-        "momentum": (qc.p_inf_cv(momentum), momentum.matrix, 1.0),
-        "wigner": (qc.p_inf_wigner(wigner, 1.0), wigner.values, 2.0 * np.pi * wigner.dx * wigner.dp),
+        "oam": (qc.p_inf_oam(oam)[0], oam.coefficients, root(1.0)),
+        "fock": (qc.p_inf_fock(fock)[0], fock.coefficients, root(1.0)),
+        "angle": (qc.p_inf_angle(angle), angle.samples, root((2.0 * np.pi / 512) ** 2)),
+        "position": (qc.p_inf_cv(thermal), thermal.matrix, root(1.0)),
+        "momentum": (qc.p_inf_cv(momentum), momentum.matrix, root(1.0)),
+        "wigner": (qc.p_inf_wigner(wigner, 1.0), wigner.values, root(cell)),
+        "p_n": (qc.p_n(rho), centred, root(64 / (63 * trace * trace))),
+        "purity": (qc.purity(rho), rho.entries, lambda total: total),
     }
 
 
 @pytest.mark.parametrize("route", SQUARE_SUM_ROUTES)
 def test_square_sum_matches_elementwise_form(square_sums, route):
-    """Every P_inf route sums its squares as ``vdot(x, x)``.  The BLAS dot
-    product accumulates in a few running sums, so on the 2.6e5 entries of a
-    512^2 angle grid or a 513^2 lattice it sits up to 5e-15 relative from
-    the exact square sum, where the pairwise ``np.sum`` sits within 2e-16
-    (both measured against a rational sum); each route must agree with the
-    element-wise form within 1e-14 relative."""
-    value, x, weight = square_sums[route]
-    reference = np.sqrt(weight * np.sum(np.abs(x) ** 2))
-    assert abs(value - reference) <= 1e-14 * reference
+    """Every P route sums its squares through ``state._square_sum`` and must
+    sit within 1e-15 relative of ``math.fsum`` of its squared float64
+    components, which sums the rounded squares exactly.  A BLAS dot product
+    accumulates in a few running sums and sits 5e-15 from it on the 2.6e5
+    entries of the 512^2 angle grid."""
+    value, x, finish = square_sums[route]
+    components = np.ascontiguousarray(x).view(float).ravel()
+    reference = finish(math.fsum((components * components).tolist()))
+    assert abs(value - reference) <= 1e-15 * reference
 
 
 @settings(max_examples=40, deadline=None)
