@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, enforce
+from .errors import enforce
 from .measures import _mu_sums, _rotated_diagonal, _spread, _squared_deviation, p_n, visibility
 from .state import (
     DensityMatrix,
@@ -91,8 +91,7 @@ def _haar(rng: np.random.Generator, dim: int) -> np.ndarray:
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix with the
     phase-fixed R-diagonal correction; reproducible for fixed seed."""
-    if dim < 2:
-        raise InvalidParameterError(f"dimension {dim} < 2")
+    dim = _check_integer(dim, "dim", 2)
     return _readonly(_haar(_seeded_rng(seed), dim))
 
 

@@ -39,8 +39,8 @@ from .errors import (
     enforce,
 )
 from .state import (
-    _complex_array, _eigvalsh, _hermitian_part, _readonly, _require_finite_part, _square_sum,
-    as_complex_matrix,
+    _as_array, _check_integer, _check_real, _complex_array, _eigvalsh, _hermitian_part, _readonly,
+    _require_finite_part, _square_sum, as_complex_matrix,
 )
 
 _HERMITICITY_TOL = 1e-12
@@ -69,7 +69,7 @@ def _validated_block(matrix, size: int, label: str, trace_tol=None, trace_hint="
     near n * eps * ||H||, well inside -1e-10: it accepts only states that
     ``eigvalsh`` accepts.  When the factorisation fails, ``eigvalsh``
     decides, so every rejection and its message are exactly as before."""
-    mat = np.asarray(matrix, dtype=complex)
+    mat = _as_array(matrix, complex)
     if mat.shape != (size, size):
         raise InvalidParameterError(f"{label}: shape must be {(size, size)}, got {mat.shape}")
     as_complex_matrix(mat)
@@ -131,13 +131,14 @@ class _TruncatedState:
     modes_per_cutoff: ClassVar[int]
 
     def __post_init__(self):
-        if self.cutoff < 0:
-            raise InvalidParameterError("cutoff must be >= 0")
-        if not (0.0 <= self.declared_tail_bound <= 1.0):
-            raise InvalidParameterError("tail bound must lie in [0, 1]")
-        size, slack = self.modes_per_cutoff * self.cutoff + 1, self.declared_tail_bound + 1e-12
-        mat = _validated_block(self.coefficients, size, self.label, slack)
+        cutoff = _check_integer(self.cutoff, "cutoff", 0)
+        tail = _check_real(self.declared_tail_bound, "tail bound must lie in [0, 1]",
+                           lambda v: 0.0 <= v <= 1.0)
+        size = self.modes_per_cutoff * cutoff + 1
+        mat = _validated_block(self.coefficients, size, self.label, tail + 1e-12)
+        object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "coefficients", mat)
+        object.__setattr__(self, "declared_tail_bound", tail)
 
 
 class OamState(_TruncatedState):
@@ -166,9 +167,9 @@ class AngularCoherence:
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.grid_size < 2:
-            raise InvalidParameterError("grid_size must be >= 2")
-        samples = _validated_block(self.samples, self.grid_size, "angular samples")
+        grid_size = _check_integer(self.grid_size, "grid_size", 2)
+        samples = _validated_block(self.samples, grid_size, "angular samples")
+        object.__setattr__(self, "grid_size", grid_size)
         object.__setattr__(self, "samples", samples)
 
 
@@ -188,22 +189,19 @@ class CvGrid:
     dx: float = field(init=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise InvalidParameterError("d must be >= 1")
-        if not (self.p_max > 0.0 and math.isfinite(self.p_max)):
-            raise InvalidParameterError("p_max must be a positive real")
-        if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
-            raise InvalidParameterError("hbar must be a positive real")
-        dp = self.p_max / self.d
-        dx = 2.0 * math.pi * self.hbar / ((2 * self.d + 1) * dp) if dp > 0.0 else math.inf
-        span = 2.0 * self.d * dx  # the largest |x - x'|, which the constructors square
+        d = _check_integer(self.d, "d", 1)
+        p_max = _check_real(self.p_max, "p_max must be a positive real", lambda v: v > 0.0)
+        hbar = _check_real(self.hbar, "hbar must be a positive real", lambda v: v > 0.0)
+        dp = p_max / d
+        dx = 2.0 * math.pi * hbar / ((2 * d + 1) * dp) if dp > 0.0 else math.inf
+        span = 2.0 * d * dx  # the largest |x - x'|, which the constructors square
         if not (dx > 0.0 and math.isfinite(span * span)):
             raise InvalidParameterError(
-                f"position spacing {dx:.3e} from p_max {self.p_max!r} and hbar {self.hbar!r} "
+                f"position spacing {dx:.3e} from p_max {p_max!r} and hbar {hbar!r} "
                 "underflows to 0, or (2 D dx)^2 overflows"
             )
-        object.__setattr__(self, "dp", dp)
-        object.__setattr__(self, "dx", dx)
+        for name, value in (("d", d), ("p_max", p_max), ("hbar", hbar), ("dp", dp), ("dx", dx)):
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
@@ -332,7 +330,7 @@ def oam_to_angle(state: OamState, grid_size: int) -> AngularCoherence:
     resulting trigonometric polynomial is then exact).
     """
     band = 2 * state.cutoff + 1
-    if grid_size < 2 * band:
+    if _check_integer(grid_size, "grid_size") < 2 * band:
         raise GridTooCoarseError(
             f"grid_size {grid_size} < {2 * band} cannot resolve the truncated band"
         )
@@ -471,8 +469,8 @@ def wigner_from_cv(
     """
     if state.representation != "position":
         raise GridMismatchError("phase-space sampling needs the position representation")
-    if x_steps < 2 or p_steps < 2:
-        raise InvalidParameterError("x_steps and p_steps must be >= 2")
+    x_steps = _check_integer(x_steps, "x_steps", 2)
+    p_steps = _check_integer(p_steps, "p_steps", 2)
     grid = state.grid
     hbar = grid.hbar
     n = grid.size
@@ -527,8 +525,7 @@ def p_inf_wigner(w: WignerSamples, hbar: float) -> float:
     """Uniform quadrature of 2*pi*hbar times the square sum of the
     phase-space samples, square-rooted; rejects sample sets whose
     normalisation misses 1 by more than 1e-2."""
-    if not (hbar > 0.0 and math.isfinite(hbar)):
-        raise InvalidParameterError("hbar must be a positive real")
+    hbar = _check_real(hbar, "hbar must be a positive real", lambda v: v > 0.0)
     cell = w.dx * w.dp
     norm = cell * float(np.sum(w.values))
     if abs(norm - 1.0) > _WIGNER_NORM_TOL:
@@ -545,10 +542,8 @@ def p_inf_wigner(w: WignerSamples, hbar: float) -> float:
 def geometric_oam(q: float, cutoff: int) -> OamState:
     """Diagonal mixture of non-negative angular-momentum modes with
     geometric weights (1-q) q^l; discarded mass is exactly q^(cutoff+1)."""
-    if not (0.0 < q < 1.0):
-        raise InvalidParameterError("q must lie in (0, 1)")
-    if cutoff < 0:
-        raise InvalidParameterError("cutoff must be >= 0")
+    q = _check_real(q, "q must lie in (0, 1)", lambda v: 0.0 < v < 1.0)
+    cutoff = _check_integer(cutoff, "cutoff", 0)
     mat = _complex_array((2 * cutoff + 1, 2 * cutoff + 1), np.zeros)
     np.fill_diagonal(mat[cutoff:, cutoff:], (1.0 - q) * q ** np.arange(cutoff + 1))
     return OamState(cutoff, mat, q ** (cutoff + 1))
@@ -557,8 +552,7 @@ def geometric_oam(q: float, cutoff: int) -> OamState:
 def oam_mode_superposition(amplitudes: dict[int, complex], cutoff: int) -> OamState:
     """Pure superposition of angular-momentum modes, normalised; exact
     within the band so the tail bound is zero."""
-    if cutoff < 0:
-        raise InvalidParameterError("cutoff must be >= 0")
+    cutoff = _check_integer(cutoff, "cutoff", 0)
     size = 2 * cutoff + 1
     vec = np.zeros(size, dtype=complex)
     for mode, amp in amplitudes.items():
@@ -575,10 +569,8 @@ def oam_mode_superposition(amplitudes: dict[int, complex], cutoff: int) -> OamSt
 def thermal_fock(nbar: float, cutoff: int) -> FockState:
     """Thermal photon-number mixture with mean occupation nbar; discarded
     mass is exactly (nbar/(nbar+1))^(cutoff+1)."""
-    if nbar < 0.0 or not math.isfinite(nbar):
-        raise InvalidParameterError("nbar must be a non-negative real")
-    if cutoff < 0:
-        raise InvalidParameterError("cutoff must be >= 0")
+    nbar = _check_real(nbar, "nbar must be a non-negative real", lambda v: v >= 0.0)
+    cutoff = _check_integer(cutoff, "cutoff", 0)
     # the matrix first, so that a size that cannot be held fails before the weights
     mat = _complex_array((cutoff + 1, cutoff + 1), np.zeros)
     ratio = nbar / (nbar + 1.0)
@@ -607,8 +599,7 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockState:
     """Truncated coherent state; the tail bound doubles the Poisson mass
     above the cutoff because the square-sum of a truncated pure state is
     the squared retained mass."""
-    if cutoff < 0:
-        raise InvalidParameterError("cutoff must be >= 0")
+    cutoff = _check_integer(cutoff, "cutoff", 0)
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise InvalidParameterError("alpha must be a finite complex number")
@@ -638,10 +629,9 @@ def gaussian_cv(grid: CvGrid, sigma_x: float, x0: float = 0.0, p0: float = 0.0) 
     """Pure Gaussian wave packet sampled on the lattice: position spread
     sigma_x, centred at (x0, p0).  Validation rejects grids that fail to
     contain or resolve it."""
-    if not (sigma_x > 0.0 and math.isfinite(sigma_x)):
-        raise InvalidParameterError("sigma_x must be a positive real")
-    if not (math.isfinite(x0) and math.isfinite(p0)):
-        raise InvalidParameterError("x0 and p0 must be finite reals")
+    sigma_x = _check_real(sigma_x, "sigma_x must be a positive real", lambda v: v > 0.0)
+    x0 = _check_real(x0, "x0 must be a finite real")
+    p0 = _check_real(p0, "p0 must be a finite real")
     var = sigma_x * sigma_x
     if not 0.0 < var < math.inf:
         raise InvalidParameterError(f"sigma_x {sigma_x!r}: its square underflows to 0 or overflows")
@@ -663,8 +653,7 @@ def gaussian_cv(grid: CvGrid, sigma_x: float, x0: float = 0.0, p0: float = 0.0) 
 def thermal_cv(grid: CvGrid, nbar: float) -> CvState:
     """Thermal oscillator state (unit mass and frequency) with mean
     occupation nbar, sampled as a position-representation kernel."""
-    if nbar < 0.0 or not math.isfinite(nbar):
-        raise InvalidParameterError("nbar must be a non-negative real")
+    nbar = _check_real(nbar, "nbar must be a non-negative real", lambda v: v >= 0.0)
     s = 2.0 * nbar + 1.0
     hbar = grid.hbar
     span = 2.0 * grid.d * grid.dx  # the largest |x - x'| on the lattice

@@ -24,7 +24,7 @@ from .basis_opt import MaximizationResult
 from .errors import InvalidParameterError
 from .infdim import CvGrid, CvState, FockState, OamState
 from .measures import CoherenceReport, max_route_discrepancy
-from .state import DEFAULT_TOLERANCE, DensityMatrix, validate_density
+from .state import DEFAULT_TOLERANCE, DensityMatrix, _check_integer, validate_density
 
 JSON_DIGITS = 17
 TSV_DIGITS = 12
@@ -222,8 +222,8 @@ def density_from_dict(payload, tol: float = DEFAULT_TOLERANCE) -> DensityMatrix:
     if not isinstance(payload, dict) or "dim" not in payload or "matrix" not in payload:
         raise InvalidParameterError("state file needs keys 'dim' and 'matrix'")
     matrix = matrix_from_lists(payload["matrix"])
-    dim = payload["dim"]
-    if not isinstance(dim, int) or matrix.shape != (dim, dim):
+    dim = _check_integer(payload["dim"], "dim")
+    if matrix.shape != (dim, dim):
         raise InvalidParameterError(
             f"declared dim {dim!r} does not match matrix shape {matrix.shape}"
         )
@@ -260,48 +260,22 @@ def maximization_to_dict(result: MaximizationResult) -> dict:
 # discretised infinite-dimensional states
 
 
-def _file_integer(value, name: str) -> int:
-    """An integer read from a state file; bools are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidParameterError(f"{name} must be an integer, not {type(value).__name__}")
-    return value
-
-
-def _file_float(value, name: str) -> float:
-    """A number read from a state file as a float; bools, strings and
-    integers beyond the float range are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidParameterError(f"{name} must be a number, not {type(value).__name__}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise InvalidParameterError(f"{name} overflows a float") from None
-
-
 def infdim_state_from_dict(payload):
     """Load any of the discretised-state file formats, dispatching on the
-    representation tag."""
+    representation tag; the file's values go to the constructors, which
+    check them."""
     if not isinstance(payload, dict) or "representation" not in payload:
         raise InvalidParameterError("state file needs a 'representation' tag")
     tag = payload["representation"]
     matrix = matrix_from_lists(payload.get("matrix"))
     if tag in ("oam", "fock"):
         cls = OamState if tag == "oam" else FockState
-        return cls(
-            _file_integer(payload.get("cutoff"), "cutoff"),
-            matrix,
-            _file_float(payload.get("tail_bound"), "tail_bound"),
-        )
+        return cls(payload.get("cutoff"), matrix, payload.get("tail_bound"))
     if tag in ("position", "momentum"):
-        grid_info = payload.get("grid")
-        if not isinstance(grid_info, dict):
+        grid = payload.get("grid")
+        if not isinstance(grid, dict):
             raise InvalidParameterError("lattice state file needs a 'grid' object")
-        grid = CvGrid(
-            _file_integer(grid_info.get("d", 0), "grid d"),
-            _file_float(grid_info.get("p_max", 0.0), "grid p_max"),
-            _file_float(grid_info.get("hbar", 1.0), "grid hbar"),
-        )
-        return CvState(grid, tag, matrix)
+        return CvState(CvGrid(grid.get("d"), grid.get("p_max"), grid.get("hbar", 1.0)), tag, matrix)
     raise InvalidParameterError(f"unknown representation tag {tag!r}")
 
 

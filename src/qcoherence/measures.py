@@ -32,7 +32,8 @@ from .errors import (
     enforce,
 )
 from .state import (
-    DensityMatrix, Spectrum, _eigvalsh, _pairs, _readonly, _square_sum, purity, spectral_decompose
+    DensityMatrix, Spectrum, _as_array, _eigvalsh, _pairs, _readonly, _square_sum, purity,
+    spectral_decompose,
 )
 
 _CLAMP = 1e-9
@@ -66,17 +67,22 @@ def _mu_sums(m: np.ndarray) -> tuple[float, float]:
     return float(np.vdot(off, off).real), _pair_product_sum(m.diagonal().real)
 
 
+def _deviations(values: np.ndarray) -> np.ndarray:
+    """a_i - mean.  Shifting by the first entry first leaves the values
+    unchanged and makes them exactly 0 when all entries are equal."""
+    shifted = values - values[0]
+    shifted -= shifted.sum() / shifted.size
+    return shifted
+
+
 def _squared_deviation(values: np.ndarray) -> float:
     """sum_i (a_i - mean)^2.
 
     N times it is exactly the pairwise spread sum_{i<j} (a_i - a_j)^2; as a
     sum of squares it has none of the cancellation of N sum a_i^2 - (sum a_i)^2.
-    Shifting by the first entry first leaves the value unchanged and makes it
-    exactly 0 when all entries are equal.
     """
-    shifted = values - values[0]
-    shifted -= shifted.sum() / shifted.size
-    return float(shifted @ shifted)
+    deviations = _deviations(values)
+    return float(deviations @ deviations)
 
 
 def _spread(squares: float, n: int, total: float) -> float:
@@ -96,9 +102,10 @@ def _eigenvalue_spread(eigs: np.ndarray, total: float) -> float:
 
 
 def _centred(rho: DensityMatrix) -> tuple[np.ndarray, float]:
-    """rho - (t/N) I and the trace t."""
-    trace = rho.entries.trace().real
-    return rho.entries - np.eye(rho.dim) * (trace / rho.dim), trace
+    """rho - (t/N) I, its diagonal the :func:`_deviations` of rho's, and the trace t."""
+    centred = rho.entries.copy()
+    np.fill_diagonal(centred, _deviations(rho.entries.diagonal().real))
+    return centred, rho.entries.trace().real
 
 
 @dataclass(frozen=True)
@@ -211,7 +218,7 @@ def visibility_f(probs) -> float:
     and none may lie below -1e-9 times the total (eigenvalues a hair below
     zero pass).
     """
-    arr = np.asarray(probs, dtype=float)
+    arr = _as_array(probs, float)
     if arr.ndim != 1 or arr.size < 2:
         raise InvalidParameterError("need a 1-d vector of at least 2 probabilities")
     if not np.isfinite(arr).all():

@@ -11,8 +11,10 @@ threads.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +89,18 @@ def _require_finite_part(part: np.ndarray, prefix: str = "") -> None:
         raise NotPSDError(f"{prefix}Hermitian part has an entry past the float range")
 
 
+def _as_array(values, dtype) -> np.ndarray:
+    """``np.asarray(values, dtype)``; values that numpy cannot read as numbers
+    of one shape (strings, ragged rows) raise InvalidParameterError."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameterError(f"entries must be numbers of one shape: {exc}") from None
+
+
 def as_complex_matrix(matrix) -> np.ndarray:
     """Coerce input to a finite 2-d complex array."""
-    arr = np.asarray(matrix, dtype=complex)
+    arr = _as_array(matrix, complex)
     if arr.ndim != 2:
         raise NotSquareError(f"expected a 2-d matrix, got array of shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -128,8 +139,7 @@ def validate_density(matrix, tol: float = DEFAULT_TOLERANCE) -> DensityMatrix:
     NotUnitTraceError, NotPSDError.  ``tol`` must lie in [0, 1), so that a
     trace within it of 1 is positive and the renormalisation keeps the sign.
     """
-    if not 0.0 <= tol < 1.0:
-        raise InvalidParameterError(f"tolerance {tol!r} outside [0, 1)")
+    tol = _check_real(tol, "tolerance outside [0, 1)", lambda v: 0.0 <= v < 1.0)
     arr = as_complex_matrix(matrix)
     rows, cols = arr.shape
     if rows != cols:
@@ -201,18 +211,34 @@ def spectral_decompose(rho: DensityMatrix) -> Spectrum:
     return Spectrum(_readonly(vals), _readonly(vecs * phases))
 
 
-def _check_integer(value, name: str, minimum: int) -> None:
-    """Reject ``value`` unless it is an integer of at least ``minimum``; a
-    bool is not an integer here."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def _check_integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int.  Raise InvalidParameterError unless it is an
+    integer (a bool is not one here) of at least ``minimum``, when given."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise InvalidParameterError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def _check_real(value, message: str, valid: Callable[[float], bool] | None = None) -> float:
+    """``value`` as a float.  Raise InvalidParameterError with ``message`` and
+    the value unless it is a finite real number (a bool, a string or an
+    integer past the float range is not) that passes the caller's range
+    test ``valid``, when given."""
+    real = math.nan
+    if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
+        with contextlib.suppress(OverflowError):
+            real = float(value)
+    if not (math.isfinite(real) and (valid is None or valid(real))):
+        raise InvalidParameterError(f"{message}, got {value!r}")
+    return real
 
 
 def _seeded_rng(seed: int) -> np.random.Generator:
     """numpy's default generator for a reproducible seed, which must be a
     non-negative integer."""
-    _check_integer(seed, "seed", 0)
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_check_integer(seed, "seed", 0))
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -227,12 +253,12 @@ def random_state(dim: int, kind: str, seed: int, rank: int | None = None) -> Den
     full-rank Ginibre mixture GG†/Tr(GG†), ``rank_k`` restricts the Ginibre
     factor to ``rank`` columns.  Fixed ``seed`` gives identical output.
     """
-    if dim < 2:
+    if _check_integer(dim, "dim") < 2:
         raise DimensionTooSmallError(f"dimension {dim} < 2")
     if kind not in RANDOM_KINDS:
         raise InvalidParameterError(f"unknown kind {kind!r}; expected one of {RANDOM_KINDS}")
     if kind == "rank_k":
-        if rank is None or rank < 1 or rank > dim:
+        if rank is None or not 1 <= _check_integer(rank, "rank") <= dim:
             raise InvalidRankError(f"rank must be in [1, {dim}], got {rank}")
     elif rank is not None:
         raise InvalidRankError("rank is only meaningful for kind='rank_k'")

@@ -759,6 +759,38 @@ class TestNonFiniteInput:
             qc.coherent_fock(alpha, 12)
 
 
+class TestParametersOfTheWrongKind:
+    """The values that a state file may hold in place of a number, passed
+    straight to the types, which reject them as the loader does."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"d": [1]}, {"d": "16"}, {"d": True}, {"d": 16.0},
+            {"p_max": "4.0"}, {"p_max": None}, {"p_max": 10**400},
+            {"hbar": True}, {"hbar": "1"},
+        ],
+        ids=lambda grid: ",".join(f"{k}={v!r:.8}" for k, v in grid.items()),
+    )
+    def test_grid(self, grid):
+        with pytest.raises(qc.InvalidParameterError):
+            qc.CvGrid(**{"d": 16, "p_max": 4.0, "hbar": 0.5, **grid})
+
+    @pytest.mark.parametrize("cls", [qc.OamState, qc.FockState], ids=["oam", "fock"])
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"tail_bound": 10**400}, {"tail_bound": True}, {"tail_bound": "0.1"},
+            {"cutoff": True}, {"cutoff": "6"},
+        ],
+        ids=lambda fields: ",".join(f"{k}={v!r:.8}" for k, v in fields.items()),
+    )
+    def test_truncated_state(self, cls, fields):
+        fields = {"cutoff": 0, "tail_bound": 0.0, **fields}
+        with pytest.raises(qc.InvalidParameterError):
+            cls(fields["cutoff"], [[1.0]], fields["tail_bound"])
+
+
 # containers with a positivity gate, by band size; OAM and lattice bands are odd
 PSD_CONTAINERS = {
     "oam": (qc.OamState.label, lambda m: qc.OamState(len(m) // 2, m, 0.0)),

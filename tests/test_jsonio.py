@@ -454,6 +454,11 @@ class TestStateFiles:
         with pytest.raises(qc.InvalidParameterError):
             jsonio.density_from_dict(doc)
 
+    def test_boolean_dim_rejected(self):
+        # true == 1 matches the shape of a 1 x 1 matrix
+        with pytest.raises(qc.InvalidParameterError, match="^dim must be an integer"):
+            jsonio.density_from_dict({"dim": True, "matrix": [[[1.0, 0.0]]]})
+
 
 class TestInfdimStateFiles:
     def test_oam_round_trip(self):

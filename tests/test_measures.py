@@ -476,11 +476,17 @@ _ORACLE_DIMS = (2, 3, 8, 32)
 _ORACLE_EPS = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 
 
-def _near_mixed(n, eps, rng):
-    """I/N + eps H for a symmetric H of integers in +-{1, 2, 3} with a zero
-    diagonal, as stored by validation; positive for eps <= 1e-4, N <= 32."""
+def _near_mixed(n, eps, rng, diagonal=False):
+    """I/N + eps H for a symmetric H of integers in +-{1, 2, 3} off the
+    diagonal, as stored by validation.  H's diagonal is zero or, with
+    ``diagonal``, zero-sum integers c_i - c_(i-1) in [-6, 6], whose stored
+    sum need not be a float; positive for eps <= 1e-4, N <= 32."""
     h = np.triu(rng.choice([-3, -2, -1, 1, 2, 3], size=(n, n)), k=1)
-    return qc.validate_density(np.eye(n) / n + eps * (h + h.T))
+    h = h + h.T
+    if diagonal:
+        c = rng.integers(-3, 4, size=n)
+        np.fill_diagonal(h, c - np.roll(c, 1))
+    return qc.validate_density(np.eye(n) / n + eps * h)
 
 
 def _exact_centred(rho):
@@ -567,11 +573,13 @@ def _assert_exact(rho):
 @pytest.mark.parametrize("n", _ORACLE_DIMS)
 def test_routes_match_the_exact_value_near_the_mixed_state(n, eps):
     rng = np.random.default_rng(n * 1000 + int(-np.log10(eps)))
-    for _ in range(3):
-        _assert_exact(_near_mixed(n, eps, rng))
+    for diagonal in (False, True):
+        for _ in range(3):
+            _assert_exact(_near_mixed(n, eps, rng, diagonal))
 
 
 @settings(max_examples=25)
-@given(st.sampled_from(_ORACLE_DIMS), st.floats(4.0, 12.0), st.integers(0, 2**32 - 1))
-def test_routes_match_the_exact_value_property(n, decades, seed):
-    _assert_exact(_near_mixed(n, 10.0**-decades, np.random.default_rng(seed)))
+@given(st.sampled_from(_ORACLE_DIMS), st.floats(4.0, 12.0), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_routes_match_the_exact_value_property(n, decades, seed, diagonal):
+    _assert_exact(_near_mixed(n, 10.0**-decades, np.random.default_rng(seed), diagonal))

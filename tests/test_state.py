@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -268,3 +269,60 @@ def test_complex_array_past_the_index_range_raises_memory_error():
     with pytest.raises(MemoryError, match="^Unable to allocate a 10000000000000000 x 513 "):
         qc.state._complex_array((10**16, 513))
     assert qc.state._complex_array((2, 3), np.zeros).shape == (2, 3)
+
+
+def _probe_states():
+    grid = qc.build_cv_grid(16, 4.0, 0.5)
+    cv = qc.gaussian_cv(grid, 0.6)
+    oam = qc.geometric_oam(0.5, 3)
+    return SimpleNamespace(grid=grid, cv=cv, oam=oam, w=qc.infdim.wigner_from_cv(cv, 8, 8))
+
+
+# One call per size, count or real parameter of the library, each with a
+# value of the wrong kind: a bool, a non-integral float or a string.
+_PARAMETER_PROBES = {
+    "random_state.dim": lambda s: qc.random_state(2.5, "haar_pure", 1),
+    "random_state.rank": lambda s: qc.random_state(4, "rank_k", 1, rank=2.5),
+    "haar_unitary.dim": lambda s: qc.basis_opt.haar_unitary("4", 1),
+    "geometric_oam.cutoff": lambda s: qc.geometric_oam(0.5, True),
+    "thermal_fock.cutoff": lambda s: qc.thermal_fock(1.0, 2.5),
+    "OamState.tail_bound": lambda s: qc.OamState(3, s.oam.coefficients, True),
+    "CvGrid.d": lambda s: qc.CvGrid(True, 4.0),
+    "CvGrid.p_max": lambda s: qc.CvGrid(16, "4.0"),
+    "oam_to_angle.grid_size": lambda s: qc.infdim.oam_to_angle(s.oam, 64.0),
+    "wigner_from_cv.x_steps": lambda s: qc.infdim.wigner_from_cv(s.cv, 8.0, 8),
+    "p_inf_wigner.hbar": lambda s: qc.infdim.p_inf_wigner(s.w, "1"),
+    "geometric_oam.q": lambda s: qc.geometric_oam("0.5", 3),
+    "thermal_cv.nbar": lambda s: qc.thermal_cv(s.grid, True),
+    "gaussian_cv.sigma_x": lambda s: qc.gaussian_cv(s.grid, "0.6"),
+}
+
+
+@pytest.mark.parametrize("probe", list(_PARAMETER_PROBES))
+def test_parameter_of_the_wrong_kind_is_invalid(probe):
+    with pytest.raises(qc.InvalidParameterError):
+        _PARAMETER_PROBES[probe](_probe_states())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: qc.validate_density([["a", "b"], ["c", "d"]]),
+        lambda: qc.validate_density([[0.5, 0.0], [0.5]]),
+        lambda: qc.OamState(0, [["x"]], 0.0),
+        lambda: qc.visibility_f(["a", "b"]),
+        lambda: qc.validate_density(np.eye(2) / 2, tol="1e-9"),
+    ],
+    ids=["strings", "ragged", "oam-strings", "visibility-strings", "string-tolerance"],
+)
+def test_entries_that_are_not_numbers_are_invalid(call):
+    with pytest.raises(qc.InvalidParameterError):
+        call()
+
+
+def test_checked_parameters_are_stored_as_python_numbers():
+    grid = qc.CvGrid(np.int64(4), 2, np.float32(0.5))
+    assert (type(grid.d), type(grid.p_max), type(grid.hbar)) == (int, float, float)
+    oam = qc.OamState(np.int64(0), [[1.0]], 0)
+    assert (type(oam.cutoff), type(oam.declared_tail_bound)) == (int, float)
+    assert type(qc.infdim.AngularCoherence(np.int64(2), np.eye(2) / 2).grid_size) is int
