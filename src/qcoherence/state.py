@@ -235,6 +235,19 @@ def _check_real(value, message: str, valid: Callable[[float], bool] | None = Non
     return real
 
 
+def _check_complex(value, message: str) -> complex:
+    """``value`` as a complex.  Raise InvalidParameterError with ``message``
+    and the value unless it is a number (a bool, a string or bytes is not)
+    whose real and imaginary parts are finite."""
+    number = complex(math.nan)
+    if not isinstance(value, bool) and isinstance(value, (int, float, complex, np.number)):
+        with contextlib.suppress(OverflowError):
+            number = complex(value)
+    if not (math.isfinite(number.real) and math.isfinite(number.imag)):
+        raise InvalidParameterError(f"{message}, got {value!r}")
+    return number
+
+
 def _seeded_rng(seed: int) -> np.random.Generator:
     """numpy's default generator for a reproducible seed, which must be a
     non-negative integer."""

@@ -1,22 +1,25 @@
 """Golden outputs of the seeded commands of acceptance criterion 8 and of
 every ``infdim`` family.
 
-``tests/golden/`` holds ten outputs: the state written by ``random --dim 4
+``tests/golden/`` holds eleven outputs: the state written by ``random --dim 4
 --kind ginibre_mixed --seed 9``, its ``report`` and ``maximize`` outputs,
 the ``report`` of ``random --dim 64 --kind ginibre_mixed --seed 3`` (the
 state itself is not kept), and the ``infdim`` outputs of all five families
 (the gaussian-cv ladder, the README's d=256 thermal-cv report without its
 state file, thermal-fock, geometric-oam and coherent-fock), plus
-thermal-fock as TSV.  The state, the reports and the JSON infdim outputs
-are compared at 1e-12,
-key order included, so a silent numeric drift or a reordered payload fails
-here even though two runs of the same code still agree byte for byte.  The
-TSV header must match exactly and its numbers within 1e-11, since TSV
-keeps 12 significant digits.  The search is compared by structure,
-because its path depends on the random stream and on the order of
-floating-point operations: keys, the evaluation count, the trace indices,
-the analytic value at 1e-12, the gap to it and the unitarity of the best
-basis.  When an output is meant to change, regenerate its file alone,
+thermal-fock as TSV, plus one lattice state file.  The state, the reports
+and the JSON infdim outputs are compared at 1e-12, key order included, so
+a silent numeric drift or a reordered payload fails here even though two
+runs of the same code still agree byte for byte.  The TSV header must
+match exactly and its numbers within 1e-11, since TSV keeps 12
+significant digits.  An absolute 1e-12 cannot see a lattice state's tail,
+so the state file is compared by its bytes up to the matrix, by the places
+of its zero floats and by its other floats at 1e-15 relative (see
+:func:`test_lattice_state_file_matches_golden`).  The search is compared
+by structure, because its path depends on the random stream and on the
+order of floating-point operations: keys, the evaluation count, the trace
+indices, the analytic value at 1e-12, the gap to it and the unitarity of
+the best basis.  When an output is meant to change, regenerate its file alone,
 as in ``PYTHONPATH=src python tests/test_golden.py report_dim64.json``, and
 say why in the commit.  Only the named files are rewritten: the search path
 of ``maximize.json`` differs by machine in the last digit.  With no names,
@@ -29,7 +32,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
+from qcoherence import infdim, jsonio
 from qcoherence.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -48,7 +53,14 @@ INFDIM = {
 }
 
 
-NAMES = ("random.json", "report.json", "report_dim64.json", "maximize.json", *INFDIM)
+# the file ``infdim --family thermal-cv --nbar 1.0 --grid-d 32 --p-max 5.66
+# --save-state`` would write: the command exits 2 at its Wigner normalisation
+# check (0.933) before it writes, so the file is made by the two calls its
+# --save-state makes, the family's constructor on the lattice and dumps_state
+STATE_FILE = "infdim_thermal_cv_state.json"
+
+
+NAMES = ("random.json", "report.json", "report_dim64.json", "maximize.json", *INFDIM, STATE_FILE)
 
 
 def _run(root: Path) -> dict[str, Path]:
@@ -67,6 +79,10 @@ def _run(root: Path) -> dict[str, Path]:
     commands += [["infdim", *argv, "--output", str(paths[name])] for name, argv in INFDIM.items()]
     for argv in commands:
         assert main(argv) == 0, argv
+    lattice_state = infdim.FAMILIES["thermal-cv"].build({"nbar": 1.0},
+                                                         infdim.build_cv_grid(32, 5.66))
+    with open(paths[STATE_FILE], "w", encoding="utf-8") as handle:
+        handle.write(jsonio.dumps_state(lattice_state))
     return paths
 
 
@@ -136,6 +152,25 @@ def test_infdim_tsv_matches_golden(outputs):
             assert cell == golden
         else:
             assert abs(float(cell) - expected) <= 1e-11, (cell, golden)
+
+
+def test_lattice_state_file_matches_golden(outputs):
+    """The text up to the matrix byte for byte, the zero floats in the same
+    places and every other float within 1e-15 relative, with no absolute
+    slack, so a stored tail (a float below 2^-511 where the golden holds 0)
+    fails.  The matrix is not compared byte for byte: numpy's exp rounds
+    differently with and without AVX-512 (NPY_DISABLE_CPU_FEATURES), which
+    moves 160 of this file's 8,450 floats by up to 2 ulps, none of them a
+    zero, and the file from 100,439 to 100,427 bytes."""
+    text = outputs[STATE_FILE].read_text(encoding="utf-8")
+    golden_text = (GOLDEN / STATE_FILE).read_text(encoding="utf-8")
+    head = text.index('"matrix"')
+    assert text[:head] == golden_text[:head]
+    matrix = np.array(json.loads(text)["matrix"])
+    golden = np.array(json.loads(golden_text)["matrix"])
+    assert matrix.shape == golden.shape
+    assert np.array_equal(matrix == 0.0, golden == 0.0)
+    assert_allclose(matrix, golden, rtol=1e-15, atol=0.0)
 
 
 def test_maximize_matches_golden_structure(outputs):

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import warnings
@@ -360,6 +361,75 @@ class TestHermitianStorage:
         stored = qc.CvState(grid, "position", matrix).matrix
         assert stored.tobytes() == ((matrix + matrix.conj().T) / 2.0).tobytes()
         assert not stored.flags.writeable
+
+
+TAIL_FLOOR = 2.0**-511
+
+
+def _lattice_positions(grid):
+    return [m * grid.dx for m in range(-grid.d, grid.d + 1)]
+
+
+def _thermal_oracle(grid, nbar):
+    """Mehler's kernel times dx, one entry at a time in scalar arithmetic,
+    with no tail dropped."""
+    s, hbar, xs = 2.0 * nbar + 1.0, grid.hbar, _lattice_positions(grid)
+    scale = grid.dx / math.sqrt(math.pi * hbar * s)
+    return np.array(
+        [[scale * math.exp(-((x + y) ** 2 / s + s * (x - y) ** 2) / (4.0 * hbar)) for y in xs]
+         for x in xs],
+        dtype=complex,
+    )
+
+
+def _gaussian_oracle(grid, sigma_x, x0, p0):
+    """psi(x) psi(x')^* dx of the Gaussian packet, one entry at a time: the
+    modulus from one exponential of the summed exponents, the phase
+    p0 (x - x') / hbar; no tail dropped."""
+    xs = _lattice_positions(grid)
+    scale = grid.dx / math.sqrt(2.0 * math.pi * sigma_x**2)
+    return np.array(
+        [[scale * math.exp(-((x - x0) ** 2 + (y - x0) ** 2) / (4.0 * sigma_x**2))
+          * cmath.exp(1j * p0 * (x - y) / grid.hbar) for y in xs]
+         for x in xs]
+    )
+
+
+# (d, p_max, hbar) and the family's parameters; hbar != 1, and p0 != 0 for
+# complex entries
+TAIL_CASES = [
+    pytest.param(qc.thermal_cv, _thermal_oracle, (32, 5.66, 1.0), (1.0,), id="thermal-d32"),
+    pytest.param(qc.thermal_cv, _thermal_oracle, (40, 6.0, 0.7), (0.3,), id="thermal-hbar0.7"),
+    pytest.param(qc.thermal_cv, _thermal_oracle, (24, 4.0, 1.9), (2.5,), id="thermal-hbar1.9"),
+    pytest.param(qc.thermal_cv, _thermal_oracle, (28, 5.0, 0.45), (1.0,), id="thermal-hbar0.45"),
+    pytest.param(qc.gaussian_cv, _gaussian_oracle, (32, 5.0, 1.0), (0.7, 0.0, 0.0),
+                 id="gaussian-real"),
+    pytest.param(qc.gaussian_cv, _gaussian_oracle, (48, 6.0, 1.2), (0.8, 0.5, 1.3),
+                 id="gaussian-displaced"),
+    pytest.param(qc.gaussian_cv, _gaussian_oracle, (36, 6.0, 1.5), (1.0, -2.0, -2.5),
+                 id="gaussian-displaced-negative"),
+]
+
+
+@pytest.mark.parametrize(("build", "oracle", "grid_args", "params"), TAIL_CASES)
+def test_lattice_constructors_store_no_tail_below_the_floor(build, oracle, grid_args, params):
+    """``thermal_cv`` and ``gaussian_cv`` store every float below 2^-511 in
+    magnitude as 0 and leave the rest, against a scalar oracle that shares
+    no code with them, and the routes do not move."""
+    grid = qc.build_cv_grid(*grid_args)
+    state = build(grid, *params)
+    unflushed = oracle(grid, *params)
+    stored, expected = state.matrix.view(float), np.abs(unflushed.view(float))
+    # the case has a tail to drop
+    assert np.any((expected > 0.0) & (expected < TAIL_FLOOR))
+    assert np.all((stored == 0.0) | (np.abs(stored) >= TAIL_FLOOR))
+    # zero only where the oracle's sample lies below the floor, within 1e-12
+    assert np.all(expected[stored == 0.0] < TAIL_FLOOR * (1.0 + 1e-12))
+    assert np.all(expected[stored != 0.0] >= TAIL_FLOOR * (1.0 - 1e-12))
+    reference = qc.CvState(grid, "position", unflushed)
+    for ours, theirs in ((state, reference),
+                         (qc.convert_representation(state), qc.convert_representation(reference))):
+        assert abs(qc.p_inf_cv(ours) - qc.p_inf_cv(theirs)) <= 1e-15 * qc.p_inf_cv(theirs)
 
 
 class TestCommutator:
@@ -789,6 +859,45 @@ class TestParametersOfTheWrongKind:
         fields = {"cutoff": 0, "tail_bound": 0.0, **fields}
         with pytest.raises(qc.InvalidParameterError):
             cls(fields["cutoff"], [[1.0]], fields["tail_bound"])
+
+
+# The infdim parameters read by the complex, integer and real rules: alpha
+# and the mode amplitudes as finite complex numbers, the mode keys as
+# integers and the Wigner spans as reals, each given a value of the wrong kind.
+ESCAPE_PROBES = {
+    "coherent_fock.alpha-str": lambda cv: qc.coherent_fock("1+1j", 8),
+    "coherent_fock.alpha-bool": lambda cv: qc.coherent_fock(True, 8),
+    "coherent_fock.alpha-bytes": lambda cv: qc.coherent_fock(b"1", 8),
+    "coherent_fock.alpha-numpy-bool": lambda cv: qc.coherent_fock(np.True_, 8),
+    "oam_mode_superposition.mode-float": lambda cv: qc.oam_mode_superposition({1.5: 1.0}, 3),
+    "oam_mode_superposition.mode-bool": lambda cv: qc.oam_mode_superposition({True: 1.0}, 3),
+    "oam_mode_superposition.mode-str": lambda cv: qc.oam_mode_superposition({"1": 1.0}, 3),
+    "oam_mode_superposition.amplitude-str": lambda cv: qc.oam_mode_superposition({1: "1"}, 3),
+    "oam_mode_superposition.amplitude-inf": lambda cv: qc.oam_mode_superposition({1: np.inf}, 3),
+    "wigner_from_cv.x_span-str": lambda cv: infdim.wigner_from_cv(cv, 8, 8, x_span="1"),
+    "wigner_from_cv.p_span-str": lambda cv: infdim.wigner_from_cv(cv, 8, 8, p_span="1"),
+    "wigner_from_cv.x_span-nan": lambda cv: infdim.wigner_from_cv(cv, 8, 8, x_span=np.nan),
+}
+
+
+@pytest.mark.parametrize("probe", list(ESCAPE_PROBES))
+def test_complex_mode_and_span_parameters_of_the_wrong_kind_are_invalid(probe):
+    cv = qc.gaussian_cv(qc.build_cv_grid(16, 4.0, 0.5), 0.6)
+    with pytest.raises(qc.InvalidParameterError):
+        ESCAPE_PROBES[probe](cv)
+
+
+def test_complex_mode_and_span_parameters_of_the_right_kind_are_read():
+    cv = qc.gaussian_cv(qc.build_cv_grid(16, 4.0, 0.5), 0.6)
+    assert np.array_equal(qc.coherent_fock(np.complex64(1 + 1j), 8).coefficients,
+                          qc.coherent_fock(1 + 1j, 8).coefficients)
+    assert np.array_equal(qc.coherent_fock(2, 8).coefficients,
+                          qc.coherent_fock(2.0, 8).coefficients)
+    state = qc.oam_mode_superposition({np.int64(-1): np.float32(1.0), 2: 1j}, 3)
+    assert np.array_equal(state.coefficients,
+                          qc.oam_mode_superposition({-1: 1.0, 2: 1j}, 3).coefficients)
+    samples = infdim.wigner_from_cv(cv, 8, 8, x_span=np.float64(1.0), p_span=2)
+    assert (samples.x[-1], samples.p[-1]) == (1.0, 2.0)
 
 
 # containers with a positivity gate, by band size; OAM and lattice bands are odd

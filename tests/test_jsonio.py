@@ -383,7 +383,7 @@ class TestDumpsState:
 
     def test_memory_below_three_times_the_text(self):
         # the infdim benchmark's thermal-cv state, 513 x 513; the peak
-        # includes the 4.7 MB text itself
+        # includes the 2.8 MB text itself
         state = qc.thermal_cv(qc.build_cv_grid(256, 16.0), 1.0)
         tracemalloc.start()
         try:
