@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import basis_opt, infdim, jsonio, measures, state
@@ -134,55 +133,35 @@ def _ladder_rungs(top: int) -> list[int]:
 def cmd_infdim(args) -> int:
     family = infdim.FAMILIES[args.family]
     top = args.grid_d
-    # the grid validates hbar before gaussian-cv's default sigma_x reads it
-    grid = infdim.build_cv_grid(top, args.p_max, args.hbar) if family.lattice else None
+    # the lattice validates hbar before gaussian-cv's default sigma_x reads it
+    support = family.support(args, top)
+    hbar = state._check_real(args.hbar, "hbar must be a positive real", lambda v: v > 0.0)
     record = family.parameters(args)
-    payload: dict = {"family": args.family, "hbar": args.hbar, "parameters": record}
-    top_state = family.build(record, top if grid is None else grid)
-    if grid is not None:
-        payload["grid"] = {"d": grid.d, "p_max": grid.p_max, "hbar": grid.hbar}
-        routes = payload["routes"] = {
-            "position": infdim.p_inf_cv(top_state),
-            "momentum": infdim.p_inf_cv(infdim.convert_representation(top_state)),
-        }
-    else:
-        value, error_bound = infdim.p_inf_oam(top_state)
-        routes = payload["routes"] = {top_state.representation: value}
-        if isinstance(top_state, infdim.OamState):
-            grid_m = args.grid_m if args.grid_m is not None else max(512, 2 * (2 * top + 1))
-            # the truncated state's samples integrate to its coefficient trace
-            trace = float(top_state.coefficients.trace().real)
-            routes["angle"] = infdim.p_inf_angle(infdim.oam_to_angle(top_state, grid_m), trace)
+    payload = {"family": args.family, "hbar": hbar, "parameters": record,
+               **family.describe(support)}
+    top_state = family.build(record, support)
+    value, error_bound = family.value(top_state)
+    routes = payload["routes"] = {top_state.representation: value,
+                                  **family.routes(top_state, args)}
+    if family.closed_form is not None:
         payload["error_bound"] = error_bound
         closed_form = payload["closed_form"] = family.closed_form(record)
         error = payload["closed_form_error"] = closed_form - value
         enforce("infdim closed form error", abs(error), error_bound + _INFDIM_TOL)
     high, low = max(routes, key=routes.get), min(routes, key=routes.get)
     enforce(f"infdim route spread {high} - {low}", routes[high] - routes[low], _INFDIM_TOL)
-    if grid is not None:
-        # written after the gate and not gated: the interpolated route is not exact
-        steps = args.wigner_steps
-        routes["wigner"] = infdim.p_inf_wigner(
-            infdim.wigner_from_cv(top_state, steps, steps), grid.hbar
-        )
+    routes.update(family.post_gate(top_state, args))
 
-    ladder = payload["ladder"] = []
-    for d in _ladder_rungs(top):
-        rung = {"d": d} if grid is None else {"d": d, "p_max": grid.p_max * math.sqrt(d / top)}
-        if d == top:
+    ladder = payload["ladder"] = [family.rung(args, d) for d in _ladder_rungs(top)]
+    for rung in ladder:
+        try:
             # the top rung is the state already evaluated above
-            rung["value"] = payload["routes"][top_state.representation]
-        elif grid is None:
-            rung["value"] = infdim.p_inf_oam(family.build(record, d))[0]
-        else:
-            try:
-                rung_grid = infdim.build_cv_grid(d, rung["p_max"], grid.hbar)
-                rung["value"] = infdim.p_inf_cv(family.build(record, rung_grid))
-            except ValidationError:
-                # rung too coarse to resolve the state; report the hole
-                # rather than fail the whole run
-                rung["value"] = None
-        ladder.append(rung)
+            rung["value"] = value if rung["d"] == top else family.value(
+                family.build(record, family.support(args, rung["d"])))[0]
+        except ValidationError:
+            # rung too coarse to resolve the state; report the hole rather
+            # than fail the whole run
+            rung["value"] = None
     resolved = [rung["value"] for rung in ladder if rung["value"] is not None]
     payload["differences"] = [b - a for a, b in zip(resolved, resolved[1:])]
     _emit(_render(payload, args.format), args.output)

@@ -557,8 +557,9 @@ def geometric_oam(q: float, cutoff: int) -> OamState:
 
 
 def oam_mode_superposition(amplitudes: dict[int, complex], cutoff: int) -> OamState:
-    """Pure superposition of angular-momentum modes, normalised; exact
-    within the band so the tail bound is zero."""
+    """Pure superposition of angular-momentum modes, normalised after a scaling
+    by its largest part, so that no finite amplitude overflows or underflows
+    in the norm; exact within the band so the tail bound is zero."""
     cutoff = _check_integer(cutoff, "cutoff", 0)
     size = 2 * cutoff + 1
     vec = np.zeros(size, dtype=complex)
@@ -568,10 +569,11 @@ def oam_mode_superposition(amplitudes: dict[int, complex], cutoff: int) -> OamSt
             raise InvalidParameterError(f"mode {mode} outside band [-{cutoff}, {cutoff}]")
         amp = _check_complex(amp, f"amplitude of mode {mode} must be a finite number")
         vec[mode + cutoff] = amp
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
+    largest = np.max(np.abs(vec.view(float)))
+    if largest == 0.0:
         raise EmptyStateError("all amplitudes are zero")
-    vec /= norm
+    vec /= largest
+    vec /= np.linalg.norm(vec)
     return OamState(cutoff, np.outer(vec, vec.conj()), 0.0)
 
 
@@ -702,37 +704,66 @@ def thermal_cv(grid: CvGrid, nbar: float) -> CvState:
 # the families of the infdim command
 
 
+def _grid_fields(grid: CvGrid) -> dict:
+    """The lattice as the ``infdim`` payload and a state file write it."""
+    return {"d": grid.d, "p_max": grid.p_max, "hbar": grid.hbar}
+
+
+def _lattice_rung(options, d: int) -> dict:
+    """A rung's lattice: p_max times sqrt(d / grid_d), as given at d = grid_d (maybe 0)."""
+    scale = 1.0 if d == options.grid_d else math.sqrt(d / options.grid_d)
+    return {"d": d, "p_max": options.p_max * scale}
+
+
 class Family(NamedTuple):
-    """``parameters(options)`` reads the record written under "parameters"
-    from the ``infdim`` command's options; ``build(record, support)`` makes
-    the state over a band cutoff, or over a :class:`CvGrid` for a lattice
-    family.  The lambdas below find the constructors among this module's
-    globals at call time, so one replaced on the module is called.
-    ``closed_form(record)`` is P_inf of the untruncated state, given for the
-    band families, whose declared tail bounds the distance to it."""
+    """What the ``infdim`` command needs of one family.  ``parameters(options)``
+    is the record written under "parameters"; ``build(record, support)`` makes
+    the state over ``support(options, d)``, a band cutoff d or a :class:`CvGrid`
+    of size d, which ``describe`` writes; ``closed_form(record)`` is P_inf of
+    the untruncated state, given where a declared tail bounds the distance to
+    it; ``value(state)`` is the representation's route and its bound, written
+    by each ladder rung beside ``rung(options, d)``; the spread gate holds
+    ``routes``, and ``post_gate`` routes follow it.  The lambdas find the
+    constructors and routes among this module's globals at call time."""
 
     parameters: Callable[[Any], dict]
     build: Callable[[dict, Any], OamState | FockState | CvState]
-    lattice: bool = False
     closed_form: Callable[[dict], float] | None = None
+    support: Callable[[Any, int], Any] = lambda options, d: d
+    describe: Callable[[Any], dict] = lambda support: {}
+    rung: Callable[[Any, int], dict] = lambda options, d: {"d": d}
+    value: Callable[[Any], tuple] = lambda state: p_inf_oam(state)
+    routes: Callable[[Any, Any], dict] = lambda state, options: {}
+    post_gate: Callable[[Any, Any], dict] = lambda state, options: {}
 
+
+_LATTICE = dict(support=lambda o, d: CvGrid(hbar=o.hbar, **_lattice_rung(o, d)),
+                describe=lambda grid: {"grid": _grid_fields(grid)}, rung=_lattice_rung,
+                value=lambda s: (p_inf_cv(s), None),
+                routes=lambda s, o: {"momentum": p_inf_cv(convert_representation(s))},
+                # not gated: the interpolated route is not exact
+                post_gate=lambda s, o: {"wigner": p_inf_wigner(
+                    wigner_from_cv(s, o.wigner_steps, o.wigner_steps), s.grid.hbar)})
 
 FAMILIES = {
-    "geometric-oam": Family(lambda o: {"q": o.q, "cutoff": o.grid_d},
-                            lambda r, cutoff: geometric_oam(r["q"], cutoff),
-                            closed_form=lambda r: math.sqrt((1.0 - r["q"]) / (1.0 + r["q"]))),
+    "geometric-oam": Family(  # the angle samples integrate to the truncated trace
+        lambda o: {"q": o.q, "cutoff": o.grid_d}, lambda r, cutoff: geometric_oam(r["q"], cutoff),
+        lambda r: math.sqrt((1.0 - r["q"]) / (1.0 + r["q"])),
+        routes=lambda s, o: {"angle": p_inf_angle(oam_to_angle(
+            s, max(512, 2 * (2 * s.cutoff + 1)) if o.grid_m is None else o.grid_m),
+            float(s.coefficients.trace().real))}),
     "thermal-fock": Family(lambda o: {"nbar": o.nbar, "cutoff": o.grid_d},
                            lambda r, cutoff: thermal_fock(r["nbar"], cutoff),
-                           closed_form=lambda r: 1.0 / math.sqrt(2.0 * r["nbar"] + 1.0)),
+                           lambda r: 1.0 / math.sqrt(2.0 * r["nbar"] + 1.0)),
     "coherent-fock": Family(
         lambda o: {"alpha_re": o.alpha_re, "alpha_im": o.alpha_im, "cutoff": o.grid_d},
         lambda r, cutoff: coherent_fock(complex(r["alpha_re"], r["alpha_im"]), cutoff),
-        closed_form=lambda r: 1.0,  # a coherent state is pure
+        lambda r: 1.0,  # a coherent state is pure
     ),
     "gaussian-cv": Family(  # sigma_x defaults to the vacuum width sqrt(hbar / 2)
         lambda o: {"sigma_x": math.sqrt(o.hbar / 2.0) if o.sigma_x is None else o.sigma_x,
                    "x0": o.x0, "p0": o.p0},
-        lambda r, grid: gaussian_cv(grid, r["sigma_x"], r["x0"], r["p0"]), lattice=True),
+        lambda r, grid: gaussian_cv(grid, r["sigma_x"], r["x0"], r["p0"]), **_LATTICE),
     "thermal-cv": Family(lambda o: {"nbar": o.nbar},
-                         lambda r, grid: thermal_cv(grid, r["nbar"]), lattice=True),
+                         lambda r, grid: thermal_cv(grid, r["nbar"]), **_LATTICE),
 }

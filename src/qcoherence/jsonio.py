@@ -22,7 +22,7 @@ import numpy as np
 
 from .basis_opt import MaximizationResult
 from .errors import InvalidParameterError
-from .infdim import CvGrid, CvState, FockState, OamState
+from .infdim import CvGrid, CvState, FockState, OamState, _grid_fields
 from .measures import CoherenceReport, max_route_discrepancy
 from .state import DEFAULT_TOLERANCE, DensityMatrix, _check_integer, validate_density
 
@@ -188,8 +188,8 @@ def _state_parts(state) -> tuple[dict, np.ndarray]:
         }
         return fields, state.coefficients
     if isinstance(state, CvState):
-        grid = {"d": state.grid.d, "p_max": state.grid.p_max, "hbar": state.grid.hbar}
-        return {"representation": state.representation, "grid": grid}, state.matrix
+        fields = {"representation": state.representation, "grid": _grid_fields(state.grid)}
+        return fields, state.matrix
     raise TypeError(f"cannot serialise object of type {type(state)!r} as a state file")
 
 

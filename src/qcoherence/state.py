@@ -90,9 +90,14 @@ def _require_finite_part(part: np.ndarray, prefix: str = "") -> None:
 
 
 def _as_array(values, dtype) -> np.ndarray:
-    """``np.asarray(values, dtype)``; values that numpy cannot read as numbers
-    of one shape (strings, ragged rows) raise InvalidParameterError."""
+    """``np.asarray(values, dtype)``; values that numpy does not read, without
+    a dtype, as integers, floats or complex numbers of one shape (strings,
+    bytes, bools, other objects, ragged rows) raise InvalidParameterError, as
+    the state-file reader refuses them, before numpy can parse a string."""
     try:
+        read = np.asarray(values).dtype
+        if read.kind not in "iufc":
+            raise TypeError(f"numpy reads them as {read}")
         return np.asarray(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameterError(f"entries must be numbers of one shape: {exc}") from None

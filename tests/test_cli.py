@@ -439,6 +439,53 @@ class TestInfdim:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("hbar", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("family", ["geometric-oam", "thermal-fock", "coherent-fock"])
+def test_band_family_hbar_must_be_a_positive_real(tmp_path, capsys, family, hbar):
+    # a band family wrote a negative or zero hbar and exited 0, and a
+    # non-finite one failed only when the payload was serialised
+    out_file = tmp_path / "inf.json"
+    assert main(["infdim", "--family", family, "--hbar", hbar, "--output", str(out_file)]) == 2
+    assert capsys.readouterr().err == f"error: hbar must be a positive real, got {float(hbar)!r}\n"
+    assert not out_file.exists()
+
+
+class TestInfdimLateLookup:
+    """The family table finds the lattice routes among ``infdim``'s globals
+    when the command runs, so a route replaced on the module is the one
+    whose value the command writes."""
+
+    ARGV = ["infdim", "--family", "gaussian-cv", "--grid-d", "256", "--p-max", "16"]
+
+    def test_replaced_conversion_reaches_the_spread_gate(self, capsys, monkeypatch):
+        # the momentum route of a thermal state on the same lattice, 1/sqrt(3)
+        # against the packet's 1, so the gate exits 3
+        convert = infdim.convert_representation
+        monkeypatch.setattr(infdim, "convert_representation",
+                            lambda state: convert(qc.thermal_cv(state.grid, 1.0)))
+        assert main(self.ARGV) == 3
+        assert capsys.readouterr().err.startswith(
+            "internal error: infdim route spread position - momentum ")
+
+    def test_replaced_wigner_sampling_is_written(self, tmp_path, monkeypatch):
+        def routes():
+            out_file = tmp_path / "inf.json"
+            assert main([*self.ARGV, "--output", str(out_file)]) == 0
+            return json.loads(out_file.read_text())["routes"]
+
+        shared = routes()
+        sample = infdim.wigner_from_cv
+        # the Wigner route of a thermal state on the same lattice
+        monkeypatch.setattr(infdim, "wigner_from_cv",
+                            lambda state, *steps: sample(qc.thermal_cv(state.grid, 1.0), *steps))
+        replaced = routes()
+        thermal = qc.thermal_cv(qc.CvGrid(256, 16.0), 1.0)
+        assert replaced["wigner"] == qc.p_inf_wigner(sample(thermal, 241, 241), 1.0)
+        assert abs(replaced["wigner"] - shared["wigner"]) > 0.4
+        assert {k: replaced[k] for k in ("position", "momentum")} == {
+            k: shared[k] for k in ("position", "momentum")}
+
+
 def run_quietly(argv) -> tuple[int, str, list]:
     """(exit code, stderr, warnings raised) of one in-process command."""
     err = io.StringIO()

@@ -304,7 +304,7 @@ STORAGE_FAMILIES = [
 
 
 def _family_state(family, record, support):
-    if infdim.FAMILIES[family].lattice:
+    if isinstance(support, tuple):  # a lattice's (d, p_max)
         support = qc.build_cv_grid(*support)
     return infdim.FAMILIES[family].build(record, support)
 
@@ -898,6 +898,25 @@ def test_complex_mode_and_span_parameters_of_the_right_kind_are_read():
                           qc.oam_mode_superposition({-1: 1.0, 2: 1j}, 3).coefficients)
     samples = infdim.wigner_from_cv(cv, 8, 8, x_span=np.float64(1.0), p_span=2)
     assert (samples.x[-1], samples.p[-1]) == (1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    ("amplitudes", "unit"),
+    [({1: 1e200, 2: 1e200}, {1: 1, 2: 1}), ({1: 1e-200}, {1: 1})],
+    ids=["large", "small"],
+)
+def test_mode_superposition_scales_before_its_norm(amplitudes, unit):
+    # the norm squared the amplitudes: the large ones overflowed with a
+    # RuntimeWarning, and the small one underflowed to an empty state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = qc.oam_mode_superposition(amplitudes, 3)
+    assert np.array_equal(state.coefficients, qc.oam_mode_superposition(unit, 3).coefficients)
+
+
+def test_mode_superposition_of_zero_amplitudes_is_empty():
+    with pytest.raises(qc.EmptyStateError, match="^all amplitudes are zero$"):
+        qc.oam_mode_superposition({1: 0.0, -2: 0j}, 3)
 
 
 # containers with a positivity gate, by band size; OAM and lattice bands are odd

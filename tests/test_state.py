@@ -320,6 +320,52 @@ def test_entries_that_are_not_numbers_are_invalid(call):
         call()
 
 
+# every entry reader of the library, through state._as_array, with the size
+# of the projector diag(1, 0, ...) it is given and the matrix it stores
+_ENTRY_READERS = {
+    "validate_density": (2, lambda m: qc.validate_density(m).entries),
+    "as_complex_matrix": (2, qc.state.as_complex_matrix),
+    "OamState": (3, lambda m: qc.OamState(1, m, 0.0).coefficients),
+    "FockState": (2, lambda m: qc.FockState(1, m, 0.0).coefficients),
+    "CvState": (3, lambda m: qc.CvState(qc.CvGrid(1, 1.0), "position", m).matrix),
+    "AngularCoherence": (2, lambda m: qc.AngularCoherence(2, m).samples),
+}
+# the projector's entries in kinds that numpy reads as something other than
+# numbers; numpy parsed the strings and bytes and cast the rest
+_NOT_NUMBERS = {
+    "str": lambda m: m.astype(str).tolist(),
+    "str-array": lambda m: m.astype(str),
+    "bytes": lambda m: m.astype(bytes).tolist(),
+    "bool": lambda m: m.astype(bool),
+    "object": lambda m: m.astype(object),
+}
+
+
+@pytest.mark.parametrize("kind", list(_NOT_NUMBERS))
+@pytest.mark.parametrize("reader", list(_ENTRY_READERS))
+def test_entries_of_a_kind_other_than_number_are_invalid(reader, kind):
+    size, read = _ENTRY_READERS[reader]
+    with pytest.raises(qc.InvalidParameterError, match="^entries must be numbers of one shape: "):
+        read(_NOT_NUMBERS[kind](np.diag([1.0] + [0.0] * (size - 1))))
+
+
+# the projector's entries as every numeric dtype and as nested lists
+_NUMBERS = {
+    **{code: lambda m, code=code: m.astype(code)
+       for code in sorted(set(np.typecodes["AllInteger"] + np.typecodes["AllFloat"]))},
+    "int-list": lambda m: m.astype(int).tolist(),
+    "float-list": lambda m: m.tolist(),
+}
+
+
+@pytest.mark.parametrize("kind", list(_NUMBERS))
+@pytest.mark.parametrize("reader", list(_ENTRY_READERS))
+def test_entries_of_every_numeric_kind_are_read(reader, kind):
+    size, read = _ENTRY_READERS[reader]
+    projector = np.diag([1.0] + [0.0] * (size - 1))
+    assert np.array_equal(read(_NUMBERS[kind](projector)), read(projector))
+
+
 def test_checked_parameters_are_stored_as_python_numbers():
     grid = qc.CvGrid(np.int64(4), 2, np.float32(0.5))
     assert (type(grid.d), type(grid.p_max), type(grid.hbar)) == (int, float, float)
